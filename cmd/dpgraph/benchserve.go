@@ -24,9 +24,9 @@ import (
 // them, or just -release when given), fires n point or batch requests
 // from c concurrent workers over keep-alive connections, and reports
 // throughput, latency quantiles, and connection reuse — the numbers
-// behind EXPERIMENTS.md E21/E24. With -source it queries distinct
-// targets from one fixed source (the shape the daemon's sweep coalescer
-// merges); with -stream it pipelines NDJSON point queries over c
+// behind EXPERIMENTS.md E21/E24/E27. With -source it queries distinct
+// targets from one fixed source (the same-source load shape); with
+// -stream it pipelines NDJSON point queries over c
 // streaming requests instead of one HTTP round trip per query.
 func runBenchServe(out *os.File, args []string) error {
 	fs := flag.NewFlagSet("dpgraph bench-serve", flag.ContinueOnError)

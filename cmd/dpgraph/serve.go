@@ -35,8 +35,6 @@ func runServe(out *os.File, g *dpgraph.Graph, w []float64, args []string) error 
 		snapDir     = fs.String("snapshot-dir", "", "restore every *.dpsnap sealed release in this directory at boot")
 		snapKey     = fs.String("snapshot-key", "", "ed25519 private key (PEM) used to sign exported snapshots")
 		snapVerify  = fs.String("snapshot-verify", "", "ed25519 public key (PEM); imported and restored snapshots must verify against it")
-		coWindow    = fs.Duration("coalesce-window", 0, "collect concurrent point queries for up to this long and answer them through one shared sweep (0: off)")
-		coMax       = fs.Int("coalesce-max", 0, "flush a coalesced batch once this many pairs wait (0: default)")
 		drainGrace  = fs.Duration("drain-grace", 500*time.Millisecond, "after SIGINT/SIGTERM, keep the listener open this long answering 503s (readyz already not-ready) so health-probed load balancers stop sending before connections close")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -51,23 +49,15 @@ func runServe(out *os.File, g *dpgraph.Graph, w []float64, args []string) error 
 	if *maxReleases < 1 {
 		return fmt.Errorf("-max-releases must be >= 1, got %d", *maxReleases)
 	}
-	if *coWindow < 0 {
-		return fmt.Errorf("-coalesce-window must be >= 0, got %v", *coWindow)
-	}
-	if *coMax < 0 {
-		return fmt.Errorf("-coalesce-max must be >= 0, got %d", *coMax)
-	}
 	if *drainGrace < 0 {
 		return fmt.Errorf("-drain-grace must be >= 0, got %v", *drainGrace)
 	}
 
 	cfg := serve.Config{
-		MaxBodyBytes:       *maxBody,
-		MaxInflight:        *maxInflight,
-		MaxReleases:        *maxReleases,
-		AllowSeeded:        *allowSeeded,
-		CoalesceWindow:     *coWindow,
-		CoalesceMaxPending: *coMax,
+		MaxBodyBytes: *maxBody,
+		MaxInflight:  *maxInflight,
+		MaxReleases:  *maxReleases,
+		AllowSeeded:  *allowSeeded,
 	}
 	if *snapKey != "" {
 		key, err := snapshot.LoadPrivateKey(*snapKey)
@@ -127,14 +117,13 @@ func runServe(out *os.File, g *dpgraph.Graph, w []float64, args []string) error 
 	// Drain sequence: flip /readyz (and start refusing new work with
 	// retryable 503s) first, hold the listener open for the grace period
 	// so probing load balancers observe the flip and stop sending, then
-	// flush coalesced batches and close the listener.
+	// close the listener.
 	srv.StartDrain()
 	select {
 	case <-time.After(*drainGrace):
 	case err := <-errc:
 		return err
 	}
-	srv.Drain() // flush coalesced batches so no waiter outlives the drain window
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -210,7 +209,7 @@ func TestRunBenchServeStreamLong(t *testing.T) {
 	}
 }
 
-// TestRunBenchServeFixedSource drives the coalescer-shaped load: every
+// TestRunBenchServeFixedSource drives the same-source load: every
 // request queries a distinct target from one fixed source.
 func TestRunBenchServeFixedSource(t *testing.T) {
 	ts := benchTarget(t)
@@ -256,111 +255,11 @@ func TestRunServeFlagErrors(t *testing.T) {
 		{"-graph", path, "serve", "-max-inflight", "-1"},
 		{"-graph", path, "serve", "-max-releases", "0"},
 		{"-graph", path, "serve", "-addr", "not an address"},
-		{"-graph", path, "serve", "-coalesce-window", "-1ms"},
-		{"-graph", path, "serve", "-coalesce-max", "-1"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, args); err == nil {
 			t.Errorf("%v accepted", args)
 		}
-	}
-}
-
-// TestServeCLICoalesce boots the daemon with a coalescing window,
-// fires concurrent same-source queries at a sweep-capable release,
-// checks the metrics attribute them to shared batches, and requires a
-// clean drain on SIGINT (no waiter may be stranded on a window timer).
-func TestServeCLICoalesce(t *testing.T) {
-	path := writeFile(t, "g.txt", pathGraph)
-	ready := make(chan string, 1)
-	serveListening = ready
-	defer func() { serveListening = nil }()
-
-	outFile, err := os.CreateTemp(t.TempDir(), "serveout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer outFile.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- run(outFile, strings.NewReader(""), []string{"-graph", path, "serve",
-			"-addr", "127.0.0.1:0", "-allow-seeded", "-coalesce-window", "5ms", "-coalesce-max", "64"})
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("serve exited before listening: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve never started listening")
-	}
-	base := "http://" + addr
-
-	resp, err := http.Post(base+"/v1/releases", "application/json",
-		strings.NewReader(`{"name":"main","mechanism":"release","epsilon":2,"seed":7,"index":"ch"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create release: status %d", resp.StatusCode)
-	}
-
-	const queries = 8
-	errc := make(chan error, queries)
-	for i := 0; i < queries; i++ {
-		go func(i int) {
-			resp, err := http.Get(fmt.Sprintf("%s/v1/releases/main/distance?s=0&t=%d", base, i%4))
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("status %d", resp.StatusCode)
-				}
-			}
-			errc <- err
-		}(i)
-	}
-	for i := 0; i < queries; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var metrics struct {
-		Releases map[string]struct {
-			Coalesce struct {
-				Batches       uint64 `json:"batches"`
-				SharedQueries uint64 `json:"shared_queries"`
-				SoloQueries   uint64 `json:"solo_queries"`
-			} `json:"coalesce"`
-		} `json:"releases"`
-	}
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	co := metrics.Releases["main"].Coalesce
-	if co.Batches == 0 {
-		t.Error("coalescer ran zero batches")
-	}
-	if co.SharedQueries+co.SoloQueries != queries {
-		t.Errorf("shared+solo = %d+%d, want %d", co.SharedQueries, co.SoloQueries, queries)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve exited with %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve did not shut down on SIGINT")
 	}
 }
 

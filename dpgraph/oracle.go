@@ -51,8 +51,8 @@ type DistanceOracle interface {
 
 // BatchOracle is the allocation-free batch entry point. All oracles
 // returned by this package implement it; callers that serve high query
-// rates (the HTTP daemon, the sweep coalescer) use DistancesInto to
-// answer batches into buffers they own and reuse, so the steady-state
+// rates (the HTTP daemon's batch and stream handlers) use DistancesInto
+// to answer batches into buffers they own and reuse, so the steady-state
 // query path performs no heap allocation on either side of the
 // interface.
 type BatchOracle interface {
@@ -300,8 +300,8 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 // MinSweepTargets reports the break-even batch width of the oracle's
 // one-to-all sweep — the smallest number of distinct same-source targets
 // the index answers faster in one linear pass than per pair. It is 0
-// when the oracle has no sweep (unindexed or ALT serving), which callers
-// such as the serving layer's coalescer read as "do not coalesce".
+// when the oracle has no sweep (unindexed or ALT serving), so a caller
+// sizing batches can tell whether grouping same-source pairs pays.
 func (o *syntheticOracle) MinSweepTargets() int {
 	if sweeper, ok := o.idx.(index.OneToAll); ok {
 		return sweeper.MinSweepTargets()

@@ -29,7 +29,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /livez", c.handleLivez)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.HandleFunc("GET /healthz", c.handleReadyz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /v1/replicas", c.handleReplicaList)
 	mux.HandleFunc("POST /v1/replicas", c.handleReplicaRegister)

@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/dpgraph"
 )
@@ -77,71 +75,6 @@ func BenchmarkServeDistance(b *testing.B) {
 					}
 				}
 			})
-		})
-	}
-}
-
-// BenchmarkServeDistanceCoalesced pits concurrent same-source point
-// queries against a CH-indexed release with the sweep coalescer off and
-// on. The parallelism is forced well past GOMAXPROCS so the coalescer
-// has waiters to merge even on a single-core runner; the "pairs/batch"
-// and "shared-frac" metrics report how much sharing it achieved, which
-// scripts/bench_snapshot.sh records alongside the ns/op.
-func BenchmarkServeDistanceCoalesced(b *testing.B) {
-	const side = 60
-	g := dpgraph.Grid(side)
-	w := make([]float64, g.M())
-	for i := range w {
-		w[i] = 1 + float64(i%7)
-	}
-	spec := dpgraph.ReleaseSpec{Mechanism: "release", Seed: 42, Index: "ch"}
-	oracle, result, err := spec.Materialize(g, dpgraph.PrivateWeights(w))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.N()
-	for _, co := range []bool{false, true} {
-		name := "off"
-		if co {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cfg Config
-			if co {
-				cfg = Config{CoalesceWindow: 200 * time.Microsecond, CoalesceMaxPending: 64}
-			}
-			s := New(g, w, cfg)
-			rel, err := s.reg.reserve("bench", spec, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.publish(rel, oracle, result, nil)
-			handler := s.Handler()
-
-			b.SetParallelism(32) // force waiters to overlap even on one core
-			b.ReportAllocs()
-			b.ResetTimer()
-			var seq atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					t := int(seq.Add(1)) % n
-					req := httptest.NewRequest("GET", fmt.Sprintf("/v1/releases/bench/distance?s=0&t=%d", t), nil)
-					rec := httptest.NewRecorder()
-					handler.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("status %d: %s", rec.Code, rec.Body)
-					}
-				}
-			})
-			b.StopTimer()
-			if co {
-				m := &rel.metrics
-				total := m.coalesceShared.Load() + m.coalesceSolo.Load()
-				if batches := m.coalesceBatches.Load(); batches > 0 && total > 0 {
-					b.ReportMetric(float64(total)/float64(batches), "pairs/batch")
-					b.ReportMetric(float64(m.coalesceShared.Load())/float64(total), "shared-frac")
-				}
-			}
 		})
 	}
 }

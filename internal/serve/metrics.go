@@ -16,14 +16,6 @@ type releaseMetrics struct {
 	errors    atomic.Uint64 // malformed or failed requests (bad pairs, out of range)
 	rejected  atomic.Uint64 // requests shed by admission control (429)
 	latencies latencyRing
-
-	// Coalescer traffic: batches run, pairs answered in shared
-	// (multi-waiter) vs solo batches, and what triggered each flush.
-	coalesceBatches atomic.Uint64
-	coalesceShared  atomic.Uint64
-	coalesceSolo    atomic.Uint64
-	coalesceFull    atomic.Uint64
-	coalesceTimer   atomic.Uint64
 }
 
 // observe records one served request: n answered pairs in d.
@@ -80,17 +72,7 @@ type metricsSnapshot struct {
 	Rejected429 uint64 `json:"rejected_429"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// Coalesce reports the sweep coalescer's traffic: shared_queries
-	// are pairs that rode a batch with at least one other request (the
-	// hits), solo_queries paid the window for nothing (the misses).
-	Coalesce struct {
-		Batches       uint64 `json:"batches"`
-		SharedQueries uint64 `json:"shared_queries"`
-		SoloQueries   uint64 `json:"solo_queries"`
-		FullFlushes   uint64 `json:"full_flushes"`
-		TimerFlushes  uint64 `json:"timer_flushes"`
-	} `json:"coalesce"`
-	LatencyNS struct {
+	LatencyNS   struct {
 		P50 int64 `json:"p50"`
 		P90 int64 `json:"p90"`
 		P99 int64 `json:"p99"`
@@ -105,11 +87,6 @@ func (m *releaseMetrics) snapshot(cacheHits, cacheMisses uint64) metricsSnapshot
 	s.Rejected429 = m.rejected.Load()
 	s.CacheHits = cacheHits
 	s.CacheMisses = cacheMisses
-	s.Coalesce.Batches = m.coalesceBatches.Load()
-	s.Coalesce.SharedQueries = m.coalesceShared.Load()
-	s.Coalesce.SoloQueries = m.coalesceSolo.Load()
-	s.Coalesce.FullFlushes = m.coalesceFull.Load()
-	s.Coalesce.TimerFlushes = m.coalesceTimer.Load()
 	s.LatencyNS.P50, s.LatencyNS.P90, s.LatencyNS.P99 = m.latencies.quantiles()
 	return s
 }

@@ -36,10 +36,6 @@ type release struct {
 	// releases wired up directly in tests, which batchInto tolerates.
 	into func(pairs []dpgraph.VertexPair, out []float64) error
 
-	// co coalesces concurrent queries into shared sweeps; nil when
-	// coalescing is off for this release.
-	co *coalescer
-
 	// envOnce guards the lazily built batch-envelope chunks: the
 	// constant JSON prefix up to "count": and the constant middle from
 	// there through `"results":[`. Everything per-request is appended
@@ -69,21 +65,13 @@ func (rel *release) batchInto(pairs []dpgraph.VertexPair, out []float64) error {
 	return nil
 }
 
-// inRange reports whether both endpoints are valid vertices — the
-// pre-validation required before handing a query to the coalescer,
-// where an invalid pair would fail the whole shared batch.
+// inRange reports whether both endpoints are valid vertices. The
+// stream handler checks each line with it so an invalid pair fails at
+// its own line number instead of failing the whole mini-batch it would
+// have joined.
 func (rel *release) inRange(s, t int) bool {
 	n := rel.oracle.N()
 	return s >= 0 && s < n && t >= 0 && t < n
-}
-
-func (rel *release) pairsInRange(pairs []dpgraph.VertexPair) bool {
-	for _, p := range pairs {
-		if !rel.inRange(p.S, p.T) {
-			return false
-		}
-	}
-	return true
 }
 
 // envelopeChunks returns the constant prefix/middle of the compact

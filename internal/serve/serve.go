@@ -19,7 +19,6 @@
 //	POST   /v1/releases/{name}:import      register a release from an uploaded snapshot (zero budget)
 //	GET    /livez                          liveness: the process is up
 //	GET    /readyz                         readiness: all releases materialized and not draining
-//	GET    /healthz                        legacy liveness alias (always ok while the process runs)
 //	GET    /metrics                        query/cache/latency counters per release
 //
 // Every error is a JSON envelope {"error": "..."}; unreachable pairs
@@ -80,17 +79,6 @@ type Config struct {
 	// VerifyKey, when set, requires every imported or boot-restored
 	// snapshot to carry a signature verifying against it.
 	VerifyKey ed25519.PublicKey
-	// CoalesceWindow turns on cross-request sweep coalescing: concurrent
-	// point queries (and batches up to coalesceSmallBatch pairs) against
-	// a sweep-capable release are collected for at most this long and
-	// answered through one shared oracle batch, so same-source queries
-	// ride a single PHAST one-to-all pass. 0 (the default) disables
-	// coalescing; a lone query's latency is never worse than the window
-	// plus one direct query.
-	CoalesceWindow time.Duration
-	// CoalesceMaxPending flushes a shared batch early once this many
-	// pairs are waiting; <= 0 takes DefaultCoalesceMaxPending.
-	CoalesceMaxPending int
 }
 
 // DefaultMaxBodyBytes bounds request bodies when Config leaves
@@ -138,7 +126,6 @@ func New(topology *dpgraph.Graph, private []float64, cfg Config) *Server {
 // closes moments later.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -160,7 +147,7 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			switch r.URL.Path {
-			case "/healthz", "/livez", "/readyz", "/metrics":
+			case "/livez", "/readyz", "/metrics":
 				// Probes keep answering so load balancers and operators
 				// can watch the drain progress.
 			default:
@@ -197,12 +184,6 @@ type createRequest struct {
 	// MaxInflight overrides the server's default per-release admission
 	// cap; 0 means unlimited, nil takes the default.
 	MaxInflight *int `json:"max_inflight,omitempty"`
-	// Coalesce overrides the per-release coalescing decision when the
-	// server has a CoalesceWindow: false opts out, true forces it on
-	// even for oracles without a sweep (their batch path still dedups
-	// shared sources), and nil enables it exactly for sweep-capable
-	// oracles. Ignored (no coalescing) when the window is 0.
-	Coalesce *bool `json:"coalesce,omitempty"`
 	dpgraph.ReleaseSpec
 }
 
@@ -312,34 +293,17 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "materializing %q: %v", rel.name, err)
 		return
 	}
-	s.publish(rel, oracle, result, req.Coalesce)
+	s.publish(rel, oracle, result)
 	writeJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
 // publish makes a reserved release servable: it wires the
-// allocation-free batch entry, decides coalescing, and closes ready.
-// The single publication path for created, imported, and boot-restored
-// releases.
-func (s *Server) publish(rel *release, oracle dpgraph.DistanceOracle, result dpgraph.Result, coalesce *bool) {
+// allocation-free batch entry and closes ready. The single publication
+// path for created, imported, and boot-restored releases.
+func (s *Server) publish(rel *release, oracle dpgraph.DistanceOracle, result dpgraph.Result) {
 	rel.oracle, rel.result = oracle, result
 	if bo, ok := oracle.(dpgraph.BatchOracle); ok {
 		rel.into = bo.DistancesInto
-	}
-	if s.cfg.CoalesceWindow > 0 {
-		on := false
-		switch {
-		case coalesce != nil:
-			on = *coalesce
-		default:
-			// Auto: coalesce exactly when merged same-source queries can
-			// ride a one-to-all sweep.
-			if mst, ok := oracle.(interface{ MinSweepTargets() int }); ok {
-				on = mst.MinSweepTargets() > 0
-			}
-		}
-		if on {
-			rel.co = newCoalescer(rel.batchInto, s.cfg.CoalesceWindow, s.cfg.CoalesceMaxPending, &rel.metrics)
-		}
 	}
 	close(rel.ready)
 }
@@ -375,28 +339,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.remove(rel)
-	if rel.co != nil {
-		rel.co.stop() // flush waiters instead of stranding them on a dead release
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Deleted string `json:"deleted"`
 	}{Deleted: name})
 }
 
-// Drain flushes every release's coalescer so in-flight waiters get
-// their answers immediately; queries submitted afterwards bypass the
-// shared batches. Call before shutting the HTTP server down.
-func (s *Server) Drain() {
-	for _, rel := range s.reg.list() {
-		if rel.co != nil {
-			rel.co.stop()
-		}
-	}
-}
-
 // resolve returns the named, ready release for a query handler,
-// writing the error response (404 unknown or failed, 503 still
-// materializing) itself when the request cannot proceed. Admission is
+// writing the 404 itself when the request cannot proceed: the name is
+// unknown, its release failed, or it is still a materializing
+// placeholder. A placeholder is not a release yet, so a query racing a
+// create or :import sees exactly what it would see before the create
+// began or after a DELETE — never a 5xx. Admission is
 // separate (admitOrShed) so handlers parse their input before taking a
 // slot — a slow-trickled request body must not hold serving capacity.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*release, bool) {
@@ -409,8 +362,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*release, bool
 	select {
 	case <-rel.ready:
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "release %q is still materializing", name)
+		writeError(w, http.StatusNotFound, "release %q is not ready yet (still materializing)", name)
 		return nil, false
 	}
 	if rel.err != nil {
@@ -465,12 +417,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rel.done()
 	start := time.Now()
-	var d float64
-	if rel.co != nil && rel.inRange(sv, tv) {
-		d, err = rel.co.distance(sv, tv)
-	} else {
-		d, err = rel.oracle.Distance(sv, tv)
-	}
+	d, err := rel.oracle.Distance(sv, tv)
 	if err != nil {
 		rel.metrics.errors.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -534,15 +481,7 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 		ws.vals = make([]float64, len(pairs))
 	}
 	values := ws.vals[:len(pairs)]
-	// Small batches join the coalescer's shared sweeps alongside point
-	// queries; larger ones amortize on their own through the release's
-	// direct batch entry.
-	if rel.co != nil && len(pairs) <= coalesceSmallBatch && rel.pairsInRange(pairs) {
-		err = rel.co.submit(pairs, values)
-	} else {
-		err = rel.batchInto(pairs, values)
-	}
-	if err != nil {
+	if err = rel.batchInto(pairs, values); err != nil {
 		rel.metrics.errors.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -563,13 +502,6 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	setContentTypeJSON(w.Header())
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf) //nolint:errcheck // the response is already committed
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Status   string `json:"status"`
-		Releases int    `json:"releases"`
-	}{Status: "ok", Releases: len(s.reg.list())})
 }
 
 // handleLivez is pure process liveness: it answers ok as long as the
@@ -629,8 +561,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // StartDrain begins a graceful shutdown: /readyz flips to 503 and new
 // requests are refused with 503 + Retry-After while in-flight ones run
 // to completion. Callers should keep the listener open for a grace
-// period afterwards so probes observe the flip, then call Drain and
-// shut the HTTP server down.
+// period afterwards so probes observe the flip, then shut the HTTP
+// server down.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Draining reports whether StartDrain has been called.
@@ -645,9 +577,6 @@ type metricsTotals struct {
 	Rejected429 uint64 `json:"rejected_429"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// CoalescedShared counts pairs answered through shared (multi-
-	// request) coalesced batches across all releases.
-	CoalescedShared uint64 `json:"coalesced_shared"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -676,7 +605,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Totals.Rejected429 += snap.Rejected429
 		out.Totals.CacheHits += snap.CacheHits
 		out.Totals.CacheMisses += snap.CacheMisses
-		out.Totals.CoalescedShared += snap.Coalesce.SharedQueries
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -156,20 +156,26 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Health and metrics.
-	status, data = get(t, ts.URL+"/healthz")
-	if status != http.StatusOK || !strings.Contains(string(data), `"ok"`) {
-		t.Errorf("healthz: status %d: %s", status, data)
+	status, data = get(t, ts.URL+"/livez")
+	if status != http.StatusOK || !strings.Contains(string(data), `"alive"`) {
+		t.Errorf("livez: status %d: %s", status, data)
 	}
 	status, data = get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("metrics: status %d: %s", status, data)
 	}
 	var metrics struct {
-		Totals   metricsSnapshot            `json:"totals"`
-		Releases map[string]metricsSnapshot `json:"releases"`
+		Totals     metricsSnapshot            `json:"totals"`
+		Releases   map[string]metricsSnapshot `json:"releases"`
+		BufferPool struct {
+			Gets uint64 `json:"gets"`
+		} `json:"buffer_pool"`
 	}
 	if err := json.Unmarshal(data, &metrics); err != nil {
 		t.Fatalf("bad metrics: %v\n%s", err, data)
+	}
+	if metrics.BufferPool.Gets == 0 {
+		t.Error("buffer pool saw no checkouts")
 	}
 	main := metrics.Releases["main"]
 	// 2 point queries + 3 batches of 3 pairs.
@@ -185,7 +191,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Graceful shutdown: close the server, in-flight work already done.
 	ts.Close()
-	if _, err := http.Get(ts.URL + "/healthz"); err == nil {
+	if _, err := http.Get(ts.URL + "/livez"); err == nil {
 		t.Error("server still answering after shutdown")
 	}
 }
@@ -297,6 +303,7 @@ func TestServeHandlerErrors(t *testing.T) {
 		{"POST", "/v1/releases", `{"name":"x","mechanism":"bounded"}`, 400},
 		{"POST", "/v1/releases", `{"name":"x","mechanism":"release","index":"bogus"}`, 400},
 		{"POST", "/v1/releases", `{"name":"x","mechanism":"release","max_inflight":-1}`, 400},
+		{"POST", "/v1/releases", `{"name":"x","mechanism":"release","coalesce":true}`, 400}, // removed spec field: old clients fail loudly
 		{"POST", "/v1/releases", `{"name":"main","mechanism":"release"}`, 409},
 		{"GET", "/v1/releases/nope/distance?s=0&t=1", "", 404},
 		{"POST", "/v1/releases/nope/distances", `[[0,1]]`, 404},
@@ -446,8 +453,10 @@ func TestServeRemoveByIdentity(t *testing.T) {
 }
 
 // TestServeMaterializingRelease: a release whose materialization has
-// not finished lists as "materializing", serves 503 to queries, and
-// reports zero metrics — none of which may touch its unset oracle.
+// not finished lists as "materializing" and reports zero metrics. It is
+// not a release yet, so queries get 404 as for an unknown name, while
+// DELETE and a duplicate create of its name get 409. None of this may
+// touch its unset oracle.
 func TestServeMaterializingRelease(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if _, err := s.reg.reserve("pending", dpgraph.ReleaseSpec{Mechanism: "release"}, 0, 0); err != nil {
@@ -458,8 +467,27 @@ func TestServeMaterializingRelease(t *testing.T) {
 		t.Errorf("listing: status %d: %s", status, data)
 	}
 	status, data = get(t, ts.URL+"/v1/releases/pending/distance?s=0&t=1")
-	if status != http.StatusServiceUnavailable {
-		t.Errorf("query on materializing release: status %d, want 503: %s", status, data)
+	if status != http.StatusNotFound {
+		t.Errorf("query on materializing release: status %d, want 404: %s", status, data)
+	}
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/v1/releases/pending/distances", `[[0,1]]`, http.StatusNotFound},
+		{http.MethodDelete, "/v1/releases/pending", "", http.StatusConflict},
+		{http.MethodPost, "/v1/releases", `{"name":"pending","mechanism":"release"}`, http.StatusConflict},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s on materializing release: status %d, want %d: %s", c.method, c.path, resp.StatusCode, c.want, data)
+		}
 	}
 	status, data = get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {

@@ -164,7 +164,7 @@ func (s *Server) publishSealed(name string, sealed *dpgraph.Sealed) (*release, e
 	if err != nil {
 		return nil, err
 	}
-	s.publish(rel, sealed.Oracle(), sealed, nil)
+	s.publish(rel, sealed.Oracle(), sealed)
 	return rel, nil
 }
 

@@ -2,13 +2,10 @@
 # Snapshot the serving and throughput bench group into BENCH_report.json:
 # ns/op and allocs/op for every BenchmarkOracleDistance, BenchmarkOracleBatch,
 # BenchmarkFillLaplace, BenchmarkParallelRelease, and (HTTP layer)
-# BenchmarkServeDistance/BenchmarkServeDistanceCoalesced/BenchmarkServeBatch
-# sub-benchmark, plus enough metadata (go version, GOMAXPROCS, timestamp)
-# to compare two snapshots. The coalesced serving bench also reports the
-# coalescer's custom "pairs/batch" and "shared-frac" metrics, which land
-# in the report as pairs_per_batch and shared_frac. CI runs this on every
-# push so a perf regression shows up as a diff in the uploaded report,
-# not as an anecdote.
+# BenchmarkServeDistance/BenchmarkServeBatch sub-benchmark, plus enough
+# metadata (go version, GOMAXPROCS, timestamp) to compare two snapshots.
+# CI runs this on every push so a perf regression shows up as a diff in
+# the uploaded report, not as an anecdote.
 #
 # Usage: scripts/bench_snapshot.sh [output.json]   (default BENCH_report.json)
 set -euo pipefail
@@ -34,19 +31,15 @@ BEGIN {
     first = 1
 }
 /^Benchmark/ {
-    name = $1; ns = ""; allocs = ""; ppb = ""; shared = ""
+    name = $1; ns = ""; allocs = ""
     for (i = 3; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i - 1)
         if ($i == "allocs/op") allocs = $(i - 1)
-        if ($i == "pairs/batch") ppb = $(i - 1)
-        if ($i == "shared-frac") shared = $(i - 1)
     }
     if (ns == "") next
     if (!first) printf ","
     first = 0
     printf "\n    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s", name, ns, (allocs == "" ? "null" : allocs)
-    if (ppb != "") printf ", \"pairs_per_batch\": %s", ppb
-    if (shared != "") printf ", \"shared_frac\": %s", shared
     printf "}"
 }
 END { print "\n  ]\n}" }
