@@ -22,7 +22,8 @@ var routeListening chan<- string
 
 // runRoute starts the fleet coordinator: a daemon that proxies the
 // query API across a pool of `dpgraph serve` replicas with health
-// probing, retries, hedging, and snapshot fallback. It loads no graph.
+// probing, retries, hedging, and a snapshot-restored local fallback
+// replica. It loads no graph.
 func runRoute(out *os.File, args []string) error {
 	fs := flag.NewFlagSet("dpgraph route", flag.ContinueOnError)
 	var (
@@ -35,7 +36,7 @@ func runRoute(out *os.File, args []string) error {
 		retryBudget   = fs.Float64("retry-budget", cluster.DefaultRetryBudget, "retries+hedges allowed as a fraction of live requests (anti-retry-storm bound)")
 		hedge         = fs.Duration("hedge", 0, "delay before a point query races a second replica (0: auto from observed p99; negative: hedging off)")
 		replication   = fs.Int("replication", 0, "replicas in each release's hash-selected working set (0: all replicas serve all releases)")
-		snapDir       = fs.String("snapshot-dir", "", "unseal every *.dpsnap in this directory as a local fallback answering when all replicas for a release are out")
+		snapDir       = fs.String("snapshot-dir", "", "restore every *.dpsnap in this directory into a local replica that answers point, batch, and stream queries, in the replica wire format and error bound, when all replicas for a release are out")
 		snapVerify    = fs.String("snapshot-verify", "", "ed25519 public key (PEM); fallback snapshots must verify against it")
 		chaosLatency  = fs.Duration("chaos-latency", 0, "FAULT INJECTION: add this latency to every proxied request")
 		chaosErrRate  = fs.Float64("chaos-error-rate", 0, "FAULT INJECTION: fail this fraction of proxied requests with a synthetic transport error")

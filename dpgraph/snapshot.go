@@ -177,7 +177,9 @@ func (s *Sealed) Oracle() DistanceOracle { return s.oracle }
 
 // Bound returns the per-edge noise bound holding for all edges
 // simultaneously except with probability gamma, matching the origin
-// SyntheticGraph result.
+// SyntheticGraph result. It bounds one edge's error, not a distance's:
+// a distance sums up to N-1 released edges, and its bound is
+// Oracle().Bound(gamma).
 func (s *Sealed) Bound(gamma float64) float64 {
 	if s.meta.M == 0 {
 		return 0

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -401,10 +402,11 @@ func TestClusterDeadline(t *testing.T) {
 	}
 }
 
-// TestClusterFallback: when every replica is out, releases with a
-// local unsealed snapshot keep answering — correctly — and are marked
-// as fallback serves; a 503 with Retry-After covers the rest.
-func TestClusterFallback(t *testing.T) {
+// sealFleetSnapshot seals the fleet's seeded release into a fresh
+// directory as main.dpsnap and returns the directory and the origin
+// oracle.
+func sealFleetSnapshot(t *testing.T) (string, dpgraph.DistanceOracle) {
+	t.Helper()
 	g, w := fleetGraph()
 	spec := dpgraph.ReleaseSpec{Mechanism: "release", Epsilon: 2, Seed: 7}
 	oracle, res, err := spec.Materialize(g, dpgraph.PrivateWeights(w))
@@ -420,6 +422,14 @@ func TestClusterFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	return dir, oracle
+}
+
+// TestClusterFallback: when every replica is out, releases with a
+// local unsealed snapshot keep answering — correctly — and are marked
+// as fallback serves; a 503 with Retry-After covers the rest.
+func TestClusterFallback(t *testing.T) {
+	dir, oracle := sealFleetSnapshot(t)
 
 	fleet := newTestFleet(t, 1)
 	c, ts := newTestCoordinator(t, fleet, Config{
@@ -477,6 +487,77 @@ func TestClusterFallback(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable || resp2.Header.Get("Retry-After") == "" {
 		t.Errorf("no-fallback release: status %d, Retry-After %q", resp2.StatusCode, resp2.Header.Get("Retry-After"))
+	}
+}
+
+// TestClusterFallbackMatchesReplica: the coordinator's local fallback
+// and a replica restored from the same sealed artifact answer every
+// distance request identically — status and decoded body, including
+// the batch envelope's bound, gamma, and mechanism — and the stream
+// endpoint falls back too.
+func TestClusterFallbackMatchesReplica(t *testing.T) {
+	dir, _ := sealFleetSnapshot(t)
+
+	replica := serve.New(nil, nil, serve.Config{})
+	if _, err := replica.RestoreDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	direct := httptest.NewServer(replica.Handler())
+	t.Cleanup(direct.Close)
+
+	fleet := newTestFleet(t, 1)
+	c, ts := newTestCoordinator(t, fleet, Config{
+		ProbeInterval: 50 * time.Millisecond,
+		SnapshotDir:   dir,
+	})
+	fleet[0].set(modeKill)
+	waitReplicaState(t, c, fleet[0].url(), "evicted", 2*time.Second)
+
+	const rel = "/v1/releases/main"
+	for _, tc := range []struct {
+		name, method, path, body string
+	}{
+		{"GET point", http.MethodGet, rel + "/distance?s=0&t=15", ""},
+		{"POST point", http.MethodPost, rel + "/distance", `{"s":0,"t":15}`},
+		{"POST point unknown key", http.MethodPost, rel + "/distance", `{"s":0,"t":15,"x":1}`},
+		{"text batch", http.MethodPost, rel + "/distances", "0 15\n2 9\n"},
+		{"JSON batch", http.MethodPost, rel + "/distances", `[[0,15],[2,9]]`},
+		{"stream", http.MethodPost, rel + "/distances:stream", "0 15\n2 9\n"},
+	} {
+		send := func(base string) (int, []any, http.Header) {
+			req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			// Decoding value by value covers both single JSON bodies and
+			// the stream's NDJSON lines.
+			var vals []any
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var v any
+				if err := dec.Decode(&v); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("%s: bad JSON from %s: %v", tc.name, base, err)
+				}
+				vals = append(vals, v)
+			}
+			return resp.StatusCode, vals, resp.Header
+		}
+		wantStatus, want, _ := send(direct.URL)
+		gotStatus, got, hdr := send(ts.URL)
+		if gotStatus != wantStatus || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fallback answered %d %v, replica %d %v", tc.name, gotStatus, got, wantStatus, want)
+			continue
+		}
+		if by := hdr.Get("X-Served-By"); by != "local-fallback" {
+			t.Errorf("%s: X-Served-By = %q, want local-fallback", tc.name, by)
+		}
 	}
 }
 

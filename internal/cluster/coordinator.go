@@ -29,8 +29,10 @@
 //     p99-derived delay, a second identical request races it on another
 //     replica and the first answer wins. Hedges spend retry budget.
 //   - When every replica for a release is out, the coordinator answers
-//     from a locally unsealed snapshot fallback if it has one, and
-//     otherwise sheds with 503 + Retry-After.
+//     point, batch, and stream requests from a local restore-only
+//     serve.Server over its snapshot directory — the replica's own
+//     handlers, so fallback answers carry the replica's wire format and
+//     error bound — and otherwise sheds with 503 + Retry-After.
 //
 // The downstream transport is injectable; ChaosTransport implements
 // the `-chaos-*` fault-injection flags and doubles as the test harness
@@ -54,6 +56,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Config tunes the coordinator. The zero value is usable with defaults
@@ -102,9 +106,11 @@ type Config struct {
 	// MaxBodyBytes bounds a buffered (retryable) request body; <= 0
 	// takes DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// SnapshotDir, when set, is unsealed at New into a local fallback:
-	// releases found there keep answering (marked X-Served-By:
-	// local-fallback) when every replica for them is out.
+	// SnapshotDir, when set, is restored at New into a local
+	// restore-only serve.Server: releases found there keep answering
+	// point, batch, and stream queries (marked X-Served-By:
+	// local-fallback) when every replica for them is out, through the
+	// same handlers a replica runs.
 	SnapshotDir string
 	// VerifyKey, when set, requires every fallback snapshot to carry a
 	// signature verifying against it.
@@ -148,7 +154,12 @@ type Coordinator struct {
 	replicas map[string]*replica
 	ring     *ring
 
-	fallback map[string]*fallbackRelease
+	// fallback is the restore-only local replica over SnapshotDir
+	// (empty when unset); fallbackHandler is its routing table and
+	// fallbackLoaded the number of releases it restored.
+	fallback        *serve.Server
+	fallbackHandler http.Handler
+	fallbackLoaded  int
 
 	// rr rotates requests across a release's healthy working set.
 	rr atomic.Uint64
@@ -224,7 +235,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		client:    &http.Client{Transport: transport},
 		replicas:  make(map[string]*replica),
-		fallback:  make(map[string]*fallbackRelease),
 		started:   time.Now(),
 		stopc:     make(chan struct{}),
 		jitterRNG: rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -235,11 +245,14 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
+	c.fallback = serve.New(nil, nil, serve.Config{MaxBodyBytes: cfg.MaxBodyBytes, VerifyKey: cfg.VerifyKey})
+	c.fallbackHandler = c.fallback.Handler()
 	if cfg.SnapshotDir != "" {
-		n, err := c.loadFallback(cfg.SnapshotDir)
+		n, err := c.fallback.RestoreDir(cfg.SnapshotDir)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fallback: %w", err)
 		}
+		c.fallbackLoaded = n
 		c.logf("cluster: loaded %d fallback release(s) from %s", n, cfg.SnapshotDir)
 	}
 	return c, nil

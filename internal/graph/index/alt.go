@@ -43,10 +43,10 @@ func (a *altIndex) N() int       { return a.n }
 func (a *altIndex) Kind() string { return "alt" }
 
 // buildALT selects landmarks and fills their distance rows.
-func buildALT(p *prepared, opt Options) *altIndex {
+func buildALT(p *prepared) *altIndex {
 	n := p.n
 	a := &altIndex{n: n, comp: p.comp, off: p.off, to: p.to, wt: p.wt}
-	k := opt.Landmarks
+	k := altLandmarks
 	if k > maxLandmarks {
 		k = maxLandmarks
 	}

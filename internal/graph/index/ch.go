@@ -138,8 +138,7 @@ func newCHWork(n int) *chWork {
 
 // chBuilder carries the contraction state.
 type chBuilder struct {
-	p   *prepared
-	opt Options
+	p *prepared
 
 	adj        [][]dynEdge
 	contracted []bool
@@ -149,13 +148,12 @@ type chBuilder struct {
 
 // buildCH contracts every node and freezes the upward graph. With
 // guarded true (Auto mode) it aborts with errDegenerate once the
-// shortcut count passes MaxShortcutFactor * M; an explicit CH request
+// shortcut count passes maxShortcutFactor * M; an explicit CH request
 // always completes.
-func buildCH(p *prepared, opt Options, guarded bool) (*chIndex, error) {
+func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 	n := p.n
 	b := &chBuilder{
 		p:          p,
-		opt:        opt,
 		adj:        make([][]dynEdge, n),
 		contracted: make([]bool, n),
 		rank:       make([]int32, n),
@@ -212,7 +210,7 @@ func buildCH(p *prepared, opt Options, guarded bool) (*chIndex, error) {
 	work := newCHWork(n)
 	guard := int64(-1) // negative: guard disabled (explicit CH request)
 	if guarded {
-		guard = int64(opt.MaxShortcutFactor * float64(p.m()))
+		guard = int64(maxShortcutFactor * p.m())
 	}
 	var shortcuts int64
 	var nextRank int32
@@ -268,7 +266,7 @@ func (b *chBuilder) gather(v int32, w *chWork) {
 
 // simulate plans the shortcuts contracting v requires, recording them
 // in w.scA/scB/scW. For each neighbor u_i a witness search limited to
-// WitnessSettleLimit settled vertices looks for paths around v; a pair
+// witnessSettleLimit settled vertices looks for paths around v; a pair
 // (u_i, u_j) gets a shortcut of weight w_i + w_j only when no witness
 // path is at most that long. An exhausted witness budget inserts the
 // shortcut conservatively — never wrong, only larger.
@@ -309,7 +307,7 @@ func (b *chBuilder) witness(v int32, w *chWork, minIdx int, limit float64) {
 	st := w.st
 	st.begin()
 	st.update(w.nbr[minIdx], 0, 0)
-	budget := b.opt.WitnessSettleLimit
+	budget := witnessSettleLimit
 	targets := len(w.nbr) - minIdx - 1
 	for !st.empty() && budget > 0 && targets > 0 {
 		if st.minKey() > limit {

@@ -87,7 +87,7 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		}
 	}
 	altFlat := func() *FlatIndex {
-		idx, err := Build(g, w, Options{Mode: ALT, Landmarks: 3})
+		idx, err := Build(g, w, Options{Mode: ALT})
 		if err != nil {
 			t.Fatalf("Build alt: %v", err)
 		}

@@ -106,16 +106,17 @@ type hlWork struct {
 	cands []int32
 }
 
-// buildHL computes the labeling from a built hierarchy. With guarded
-// true (Auto mode) it aborts with errLabelsTooBig once the total kept
-// entries pass MaxAvgLabel * n — the caller then serves from the
-// hierarchy alone; an explicit HL request always completes.
+// buildHL computes the labeling from a built hierarchy. With avgLabel
+// > 0 (Auto mode) it aborts with errLabelsTooBig once the total kept
+// entries pass avgLabel * n — the caller then serves from the
+// hierarchy alone; an explicit HL request passes 0 and always
+// completes.
 //
 // Vertices are processed top-down in contraction order, parallel within
 // levels of equal up-DAG depth: pruning vertex v reads only labels of
 // vertices in v's upward search space, all of strictly smaller depth,
 // so every read happens after the barrier that completed that level.
-func buildHL(ch *chIndex, opt Options, guarded bool) (*hlIndex, error) {
+func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	n := ch.n
 
 	// Up-DAG depth per vertex: 0 at maximal vertices, 1 + max over
@@ -143,8 +144,8 @@ func buildHL(ch *chIndex, opt Options, guarded bool) (*hlIndex, error) {
 	hubs := make([][]int32, n)
 	dists := make([][]float64, n)
 	guard := int64(-1)
-	if guarded {
-		guard = int64(opt.MaxAvgLabel) * int64(n)
+	if avgLabel > 0 {
+		guard = int64(avgLabel) * int64(n)
 	}
 	var total atomic.Int64
 	var aborted atomic.Bool

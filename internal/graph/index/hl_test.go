@@ -106,15 +106,20 @@ func TestHLAutoTiering(t *testing.T) {
 		t.Fatalf("Auto on a grid built %q, want hl", auto.Kind())
 	}
 	// An average label on any connected graph holds at least the self
-	// entry plus ancestors, so MaxAvgLabel 1 must trip the guard.
-	tight, err := Build(g, w, Options{Mode: Auto, MaxAvgLabel: 1})
+	// entry plus ancestors, so a guard of 1 entry per vertex must trip.
+	tight, err := buildAuto(prepare(g, w), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tight.Kind() != "ch" {
-		t.Fatalf("Auto with MaxAvgLabel 1 built %q, want ch fallback", tight.Kind())
+		t.Fatalf("Auto with a 1-entry label guard built %q, want ch fallback", tight.Kind())
 	}
-	forced, err := Build(g, w, Options{Mode: HL, MaxAvgLabel: 1})
+	ch, err := buildCH(prepare(g, w), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Explicit HL builds unguarded.
+	forced, err := buildHL(ch, 0)
 	if err != nil {
 		t.Fatalf("explicit HL must ignore the guard: %v", err)
 	}

@@ -27,7 +27,7 @@
 // Build(Auto) tries CH first, falls back to ALT when contraction
 // degenerates (shortcut growth past a guard factor), and upgrades the
 // hierarchy to hub labels when the label build stays within the
-// MaxAvgLabel memory guard. Indexes answer the exact same distances as
+// maxAvgLabel memory guard. Indexes answer the exact same distances as
 // Dijkstra over the same weights, up to floating-point summation order;
 // equivalence is enforced by the tests in this package.
 //
@@ -111,52 +111,37 @@ type Index interface {
 	Kind() string
 }
 
-// Options tunes index construction. The zero value picks the defaults
-// documented per field.
+// Options selects what Build constructs.
 type Options struct {
 	// Mode selects the family; Off (the zero value) builds nothing.
 	Mode Mode
-	// Landmarks is the ALT landmark count (default 8, clamped to N and
-	// to an implementation cap of 32, which keeps per-query scratch a
-	// fixed-size array).
-	Landmarks int
-	// WitnessSettleLimit caps the vertices one CH witness search may
-	// settle (default 48). Exhausting it inserts the shortcut, which
-	// preserves correctness and only costs index size.
-	WitnessSettleLimit int
-	// MaxShortcutFactor aborts CH construction once more than
-	// factor * M shortcuts exist (default 4). Under Auto the abort
-	// falls back to ALT; an explicit CH request disables the guard.
-	MaxShortcutFactor float64
-	// MaxAvgLabel aborts the hub-label build once the total kept label
-	// entries pass MaxAvgLabel * N (default 128). Under Auto the abort
-	// keeps serving from the hierarchy alone; an explicit HL request
-	// disables the guard.
-	MaxAvgLabel int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Landmarks <= 0 {
-		o.Landmarks = 8
-	}
-	if o.WitnessSettleLimit <= 0 {
-		o.WitnessSettleLimit = 48
-	}
-	if o.MaxShortcutFactor <= 0 {
-		o.MaxShortcutFactor = 4
-	}
-	if o.MaxAvgLabel <= 0 {
-		o.MaxAvgLabel = 128
-	}
-	return o
-}
+// Build tuning, fixed for every caller.
+const (
+	// altLandmarks is the ALT landmark count (clamped to N and to
+	// maxLandmarks).
+	altLandmarks = 8
+	// witnessSettleLimit caps the vertices one CH witness search may
+	// settle. Exhausting it inserts the shortcut, which preserves
+	// correctness and only costs index size.
+	witnessSettleLimit = 48
+	// maxShortcutFactor aborts a guarded (Auto) CH construction once
+	// more than maxShortcutFactor * M shortcuts exist; Auto then falls
+	// back to ALT. An explicit CH request runs unguarded.
+	maxShortcutFactor = 4
+	// maxAvgLabel aborts a guarded (Auto) hub-label build once the
+	// total kept label entries pass maxAvgLabel * N; Auto then serves
+	// from the hierarchy alone. An explicit HL request runs unguarded.
+	maxAvgLabel = 128
+)
 
 // errDegenerate reports that CH contraction blew past the shortcut
 // guard; Auto catches it and falls back to ALT.
 var errDegenerate = errors.New("index: contraction degenerated (shortcut guard exceeded)")
 
 // errLabelsTooBig reports that the hub-label build blew past the
-// MaxAvgLabel guard; Auto catches it and serves from the hierarchy.
+// maxAvgLabel guard; Auto catches it and serves from the hierarchy.
 var errLabelsTooBig = errors.New("index: hub labels exceeded the size guard")
 
 // Build constructs the index requested by opt over the released
@@ -166,7 +151,6 @@ var errLabelsTooBig = errors.New("index: hub labels exceeded the size guard")
 // graph is an error, as is any negative weight (released weight
 // vectors are clamped nonnegative before indexing).
 func Build(g *graph.Graph, w []float64, opt Options) (Index, error) {
-	opt = opt.withDefaults()
 	if opt.Mode == Off {
 		return nil, nil
 	}
@@ -187,37 +171,44 @@ func Build(g *graph.Graph, w []float64, opt Options) (Index, error) {
 	p := prepare(g, w)
 	switch opt.Mode {
 	case ALT:
-		return buildALT(p, opt), nil
+		return buildALT(p), nil
 	case CH:
-		idx, err := buildCH(p, opt, false)
+		idx, err := buildCH(p, false)
 		if err != nil {
 			return nil, err
 		}
 		return idx, nil
 	case HL:
-		ch, err := buildCH(p, opt, false)
+		ch, err := buildCH(p, false)
 		if err != nil {
 			return nil, err
 		}
-		return buildHL(ch, opt, false)
+		return buildHL(ch, 0)
 	case Auto:
-		ch, err := buildCH(p, opt, true)
-		if err != nil {
-			if !errors.Is(err, errDegenerate) {
-				return nil, err
-			}
-			return buildALT(p, opt), nil
-		}
-		hl, err := buildHL(ch, opt, true)
-		if err != nil {
-			if !errors.Is(err, errLabelsTooBig) {
-				return nil, err
-			}
-			return ch, nil // labels blew the memory guard: the hierarchy still serves
-		}
-		return hl, nil
+		return buildAuto(p, maxAvgLabel)
 	}
 	return nil, fmt.Errorf("index: unknown mode %v", opt.Mode)
+}
+
+// buildAuto is the Auto tier ladder: a guarded CH build (ALT when it
+// degenerates), upgraded to hub labels unless they average more than
+// avgLabel entries per vertex.
+func buildAuto(p *prepared, avgLabel int) (Index, error) {
+	ch, err := buildCH(p, true)
+	if err != nil {
+		if !errors.Is(err, errDegenerate) {
+			return nil, err
+		}
+		return buildALT(p), nil
+	}
+	hl, err := buildHL(ch, avgLabel)
+	if err != nil {
+		if !errors.Is(err, errLabelsTooBig) {
+			return nil, err
+		}
+		return ch, nil // labels blew the memory guard: the hierarchy still serves
+	}
+	return hl, nil
 }
 
 // prepared is the simplified CSR form both families build from: the

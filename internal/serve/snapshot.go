@@ -168,6 +168,14 @@ func (s *Server) publishSealed(name string, sealed *dpgraph.Sealed) (*release, e
 	return rel, nil
 }
 
+// Has reports whether a release named name is registered. A
+// restore-only server (one that only ever ran RestoreDir) holds ready
+// releases exclusively, so for it Has means "can answer".
+func (s *Server) Has(name string) bool {
+	_, ok := s.reg.lookup(name)
+	return ok
+}
+
 // RestoreDir registers every *.dpsnap artifact in dir as a ready
 // release named by its file basename, verifying signatures when the
 // server holds a verify key. It is the serve -snapshot-dir boot path:
