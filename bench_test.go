@@ -10,11 +10,9 @@
 // The BenchmarkMechanism*/BenchmarkOracle* group at the bottom measures
 // the serving split instead: an eager budget-charging mechanism call per
 // query versus queries answered from one materialized release's
-// DistanceOracle (see EXPERIMENTS.md, "Serving benchmarks"), and the
-// BenchmarkFillLaplace/BenchmarkParallelRelease group measures release
-// throughput through the vectorized NoiseSource layer (EXPERIMENTS.md,
-// E19): block sampling per draw, and a >= 1M-edge ReleaseGraph on the
-// serial versus the GOMAXPROCS-sharded crypto path.
+// DistanceOracle (see EXPERIMENTS.md, "Serving benchmarks"), and
+// BenchmarkFillLaplace measures the vectorized NoiseSource layer per
+// draw (EXPERIMENTS.md, E19).
 package repro_test
 
 import (
@@ -22,10 +20,8 @@ import (
 	"testing"
 
 	"repro/dpgraph"
-	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/experiment"
-	"repro/internal/graph"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -222,17 +218,15 @@ func BenchmarkOracleDistance(b *testing.B) {
 
 // --- Throughput benchmarks: the vectorized noise layer -----------------
 //
-// BenchmarkFillLaplace measures the block sampler per draw; the
-// crypto-serial and seeded sub-benchmarks must report 0 allocs/op
-// (scripts/check_perf_guards.sh enforces that in CI). The crypto
-// sub-benchmark takes the sharded parallel path when GOMAXPROCS > 1.
+// BenchmarkFillLaplace measures the block sampler per draw; both
+// sub-benchmarks must report 0 allocs/op (scripts/check_perf_guards.sh
+// enforces that in CI).
 
 func BenchmarkFillLaplace(b *testing.B) {
 	sources := []struct {
 		name string
 		src  dp.NoiseSource
 	}{
-		{"crypto-serial", dp.NewSerialCryptoNoise()},
 		{"crypto", dp.NewCryptoNoise()},
 		{"seeded", dp.NewSeededNoise(1)},
 	}
@@ -247,36 +241,6 @@ func BenchmarkFillLaplace(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkParallelRelease materializes an eps-DP synthetic weight
-// vector for a 1,001,112-edge grid. The serial sub-benchmark pins the
-// single-threaded crypto sampler; the parallel one lets FillLaplace
-// shard across GOMAXPROCS workers, which is how crypto-mode sessions run
-// in production. On one core the two coincide; at GOMAXPROCS >= 8 the
-// guard script asserts a >= 4x wall-clock win.
-func BenchmarkParallelRelease(b *testing.B) {
-	g := graph.Grid(708) // 2*708*707 = 1,001,112 edges
-	w := make([]float64, g.M())
-	for i := range w {
-		w[i] = 1 + float64(i%7)
-	}
-	run := func(b *testing.B, src func() dp.NoiseSource) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel, err := core.ReleaseGraph(g, w, core.Options{Epsilon: 1, Noise: src()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rel.Weights) != g.M() {
-				b.Fatal("short release")
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, dp.NewSerialCryptoNoise) })
-	b.Run("parallel", func(b *testing.B) { run(b, dp.NewCryptoNoise) })
 }
 
 // --- Snapshot benchmarks: sealed-release restore ------------------------

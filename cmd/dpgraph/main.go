@@ -105,7 +105,7 @@ func run(out *os.File, in io.Reader, args []string) error {
 	// dispatch before the -graph requirement.
 	if fs.NArg() >= 1 {
 		switch fs.Arg(0) {
-		case "bench-serve", "route", "fleet", "version", "keygen", "unseal":
+		case "bench-serve", "route", "version", "keygen", "unseal":
 			if err := rejectGlobalFlags(fs, fs.Arg(0), nil); err != nil {
 				return err
 			}
@@ -115,8 +115,6 @@ func run(out *os.File, in io.Reader, args []string) error {
 				return runBenchServe(out, rest)
 			case "route":
 				return runRoute(out, rest)
-			case "fleet":
-				return runFleet(out, rest)
 			case "version":
 				return runVersion(out, rest)
 			case "keygen":
@@ -508,7 +506,6 @@ func usage(fs *flag.FlagSet) {
 	fmt.Fprintln(os.Stderr, "       dpgraph -graph FILE serve [-addr HOST:PORT] [serve flags]")
 	fmt.Fprintln(os.Stderr, "       dpgraph bench-serve [-release NAME] [bench flags]")
 	fmt.Fprintln(os.Stderr, "       dpgraph route [-replicas URL,URL,...] [route flags]")
-	fmt.Fprintln(os.Stderr, "       dpgraph fleet -graph FILE [-n N] [fleet flags]")
 	fmt.Fprintln(os.Stderr, "       dpgraph keygen [-out KEY] [-pub PUB] | dpgraph version [-json]")
 	fmt.Fprintln(os.Stderr, "\nflags:")
 	fs.PrintDefaults()

@@ -57,10 +57,9 @@
 //
 // All sampling flows through the internal NoiseSource layer, which
 // serves noise in vectorized blocks: crypto-noise sessions draw from a
-// ChaCha8 stream seeded per call from OS entropy and shard large fills
-// across GOMAXPROCS workers, so million-edge releases run at memory
-// speed. Crypto sessions additionally run whole mechanism calls in
-// parallel (ConcurrentReleases reports true) — use ReleaseAll to
+// ChaCha8 stream seeded per call from OS entropy, so million-edge
+// releases run at memory speed. Crypto sessions run whole mechanism
+// calls in parallel (ConcurrentReleases reports true) — use ReleaseAll to
 // materialize a batch of releases concurrently against the shared
 // budget accountant. Seeded sessions keep a deterministic draw order
 // and therefore run serially.

@@ -19,8 +19,8 @@ import (
 // means adding it here AND annotating it; dropping one means the reverse.
 var guardedFunctions = map[string][]string{
 	"internal/dp/noise.go": {
-		// guard #2: BenchmarkFillLaplace/(crypto-serial|seeded)
-		"laplaceFromRand", "uniform", "laplace", "FillLaplace", "fillSerial",
+		// guard #2: BenchmarkFillLaplace/(crypto|seeded)
+		"laplaceFromRand", "uniform", "laplace", "FillLaplace",
 	},
 	"internal/graph/index/ch.go": {
 		// guard #7: BenchmarkIndexDistance/ch
@@ -52,7 +52,7 @@ var guardedFunctions = map[string][]string{
 // guardMarkers are the bench/test names the guard script must still run;
 // if one is renamed the mapping above needs re-auditing.
 var guardMarkers = []string{
-	"BenchmarkFillLaplace/(crypto-serial|seeded)",
+	"BenchmarkFillLaplace/(crypto|seeded)",
 	"BenchmarkIndexDistance",
 	"BenchmarkIndexOneToMany",
 	"TestServeDistanceZeroAlloc|TestServeDistancesZeroAlloc",

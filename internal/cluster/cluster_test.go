@@ -659,6 +659,47 @@ func TestClusterRetryBudget(t *testing.T) {
 	}
 }
 
+// TestClusterAnswerTooLarge: a replica answer over MaxBodyBytes gets
+// 502 naming the limit instead of a truncated 200. A batch answer is
+// ~6x its request, so a request under the limit can still overflow it.
+// The replica is healthy, so the coordinator neither retries nor feeds
+// the breaker.
+func TestClusterAnswerTooLarge(t *testing.T) {
+	fleet := newTestFleet(t, 2)
+	c, ts := newTestCoordinator(t, fleet, Config{MaxBodyBytes: 512, ProbeInterval: time.Hour})
+	var batch strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&batch, "%d %d\n", i%16, 15-i%16)
+	}
+	resp, err := http.Post(ts.URL+"/v1/releases/main/distances", "text/plain", strings.NewReader(batch.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(data), "512 bytes") {
+		t.Fatalf("oversized answer: status %d, body %.200s; want 502 naming the 512-byte limit", resp.StatusCode, data)
+	}
+	if n := c.metrics.proxied.Load(); n != 1 {
+		t.Errorf("coordinator made %d attempts, want 1 (no retry)", n)
+	}
+	for _, rep := range c.snapshotReplicas() {
+		if st := rep.status(); st.State != "healthy" || st.Failures != 0 {
+			t.Errorf("replica %s: state %q with %d failures; an oversized answer must not feed the breaker", st.URL, st.State, st.Failures)
+		}
+	}
+
+	// A batch whose answer fits still passes through.
+	resp, err = http.Post(ts.URL+"/v1/releases/main/distances", "text/plain", strings.NewReader("0 15\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("small batch: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestClusterLifecycleRefused: release-mutating endpoints are not
 // proxied — materializing through the pool would give every replica
 // different noise.

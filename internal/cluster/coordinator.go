@@ -103,8 +103,9 @@ type Config struct {
 	// replica working set; <= 0 means every replica serves every
 	// release.
 	ReplicationFactor int
-	// MaxBodyBytes bounds a buffered (retryable) request body; <= 0
-	// takes DefaultMaxBodyBytes.
+	// MaxBodyBytes bounds a buffered (retryable) request body and a
+	// buffered replica answer; a larger answer gets 502. <= 0 takes
+	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// SnapshotDir, when set, is restored at New into a local
 	// restore-only serve.Server: releases found there keep answering
@@ -657,6 +658,11 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq,
 		}
 		return proxyResult{}, err
 	}
+	if int64(len(respBody)) > c.cfg.MaxBodyBytes {
+		// The replica is healthy and any other replica would give the
+		// same answer: no breaker entry, and no retry (see execute).
+		return proxyResult{}, fmt.Errorf("%w of %d bytes; split the request", errAnswerTooLarge, c.cfg.MaxBodyBytes)
+	}
 	pr := proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody, rep: rep}
 	if breakerStatus(resp.StatusCode) {
 		c.noteRequestFailure(rep, fmt.Errorf("status %s", resp.Status))
@@ -668,6 +674,9 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq,
 
 // errNoReplicas marks a request that found no routable replica at all.
 var errNoReplicas = errors.New("no healthy replica")
+
+// errAnswerTooLarge marks a replica answer over MaxBodyBytes.
+var errAnswerTooLarge = errors.New("replica answer exceeds the coordinator body limit")
 
 // execute routes one buffered request with retries (and hedging for
 // point queries): attempts walk the candidate order with jittered
@@ -710,6 +719,9 @@ func (c *Coordinator) execute(ctx context.Context, release, method, pathq, conte
 			res, err = c.attemptHedged(ctx, cands, method, pathq, contentType, body)
 		} else {
 			res, err = c.sendOnce(ctx, cands[0], method, pathq, contentType, body)
+		}
+		if errors.Is(err, errAnswerTooLarge) {
+			return proxyResult{}, err
 		}
 		if err != nil {
 			lastErr = err
@@ -758,6 +770,8 @@ func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, metho
 					c.metrics.hedgeWins.Add(1)
 				}
 				return o.res, nil
+			case errors.Is(o.err, errAnswerTooLarge):
+				return proxyResult{}, o.err
 			case o.err != nil:
 				lastErr = o.err
 			default:

@@ -410,7 +410,8 @@ func requestPathQuery(r *http.Request) string {
 // format, validation, and error bound match a replica's exactly),
 // otherwise the routing failure maps onto a client status.
 func (c *Coordinator) answerFallbackOrError(w http.ResponseWriter, r *http.Request, release string, routeErr error) {
-	if !c.fallback.Has(release) {
+	// An oversized answer is the request's fault, not the pool's.
+	if errors.Is(routeErr, errAnswerTooLarge) || !c.fallback.Has(release) {
 		c.writeRouteError(w, routeErr)
 		return
 	}
@@ -429,7 +430,8 @@ func replayBody(r *http.Request, body []byte) *http.Request {
 
 // writeRouteError maps a routing failure onto a status: 504 when the
 // request deadline expired, 503 + Retry-After when no replica was
-// routable, 502 for pool-wide failures.
+// routable, 502 for an answer over MaxBodyBytes and for pool-wide
+// failures.
 func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -439,6 +441,8 @@ func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
 		c.metrics.unavailable.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(c.cfg.ProbeInterval.Seconds()))+1))
 		writeError(w, http.StatusServiceUnavailable, "no healthy replica for this request; pool recovery is probe-driven, retry shortly")
+	case errors.Is(err, errAnswerTooLarge):
+		writeError(w, http.StatusBadGateway, "%v", err)
 	default:
 		c.metrics.unavailable.Add(1)
 		writeError(w, http.StatusBadGateway, "all replica attempts failed: %v", err)

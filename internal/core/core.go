@@ -51,8 +51,7 @@ type Options struct {
 	// crypto-grade noise (dp.NewCryptoNoise); pass a seeded source
 	// (dp.NewSeededNoise, dp.WrapRand) only for reproducible experiments
 	// and tests. Mechanisms request noise in blocks (dp.NoiseSource's
-	// FillLaplace), so large releases hit the vectorized — and for
-	// crypto sources parallel — sampling path.
+	// FillLaplace), so large releases hit the vectorized sampling path.
 	Noise dp.NoiseSource
 	// Accountant, when non-nil, is charged (Epsilon, Delta) before each
 	// mechanism releases anything; if the budget would be exceeded the

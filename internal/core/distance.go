@@ -86,10 +86,9 @@ func APSDComposition(g *graph.Graph, w []float64, opts Options) (*APSD, error) {
 		released[s] = make([]float64, n)
 	}
 	// One block of noise for every finite released entry, requested up
-	// front so the fill can amortize (and, for crypto sources, shard);
-	// consumption order matches the historical per-entry sampling loop.
-	// The counting pass shares the consumption loop's skip predicate so
-	// the two cannot drift.
+	// front so the fill can amortize; consumption order matches the
+	// historical per-entry sampling loop. The counting pass shares the
+	// consumption loop's skip predicate so the two cannot drift.
 	needsNoise := func(s, t int) bool {
 		return s != t && (g.Directed() || s < t) && !math.IsInf(exact[s][t], 1)
 	}

@@ -7,8 +7,8 @@
 // All mechanism noise is sampled through the NoiseSource interface — the
 // package's single sampling entry point. A NoiseSource hands out Laplace
 // draws one at a time (SampleLaplace) or in vectorized blocks
-// (FillLaplace), and comes in three flavors: crypto-grade entropy with
-// buffered syscalls and parallel sharded fills (NewCryptoNoise), a
+// (FillLaplace), and comes in three flavors: a crypto-grade ChaCha8
+// stream seeded from OS entropy (NewCryptoNoise), a
 // splittable deterministic stream for reproducible experiments
 // (NewSeededNoise), and an adapter sharing a caller-owned *rand.Rand
 // (WrapRand). The Laplace type below remains the distribution object

@@ -38,16 +38,9 @@ func LaplaceMechanism(q Query, eps float64, w []float64, src NoiseSource) []floa
 // AddLaplace adds independent Lap(scale) noise to every entry of v,
 // returning a new slice. It is the raw noise step used by mechanisms that
 // manage their own sensitivity accounting; the noise is requested from
-// src as one block, so large vectors hit the vectorized fill path, and
-// crypto sources additionally shard the fused fill-and-add across
-// GOMAXPROCS workers.
+// src as one block, so large vectors hit the vectorized fill path.
 func AddLaplace(v []float64, scale float64, src NoiseSource) []float64 {
 	out := make([]float64, len(v))
-	if f, ok := src.(laplaceAdder); ok {
-		checkNoiseScale(scale)
-		f.addLaplace(scale, v, out)
-		return out
-	}
 	src.FillLaplace(scale, out)
 	for i, a := range v {
 		out[i] += a

@@ -6,16 +6,14 @@ import (
 	"math"
 	"math/rand"           //dpvet:allow noiserand -- blessed seeded source: deterministic replay for golden releases, opt-in via WithDeterministicSeed only
 	randv2 "math/rand/v2" //dpvet:allow noiserand -- ChaCha8 from math/rand/v2 is the crypto-grade generator behind the default NoiseSource
-	"runtime"
 	"sync"
 )
 
 // NoiseSource is the single entry point for sampling mechanism noise.
 // Every mechanism in this repository requests its Laplace draws through
 // this interface — either one value at a time (SampleLaplace) or, on the
-// hot release paths, a whole block at once (FillLaplace), which lets the
-// implementation amortize entropy syscalls and, for non-deterministic
-// sources, shard large fills across CPUs.
+// hot release paths, a whole block at once (FillLaplace), which keeps
+// the per-draw cost to the sampler itself.
 //
 // Draw-order contract: FillLaplace(scale, dst) produces exactly the
 // sequence of len(dst) consecutive SampleLaplace(scale) draws for
@@ -34,23 +32,21 @@ type NoiseSource interface {
 	// not positive and finite (mirroring NewLaplace).
 	SampleLaplace(scale float64) float64
 
-	// FillLaplace fills dst with independent Lap(scale) draws. For
-	// deterministic sources the fill is sequential and equals len(dst)
-	// SampleLaplace calls; crypto sources may shard large fills across
-	// GOMAXPROCS workers with independent entropy streams.
+	// FillLaplace fills dst with independent Lap(scale) draws. The fill
+	// is sequential: it consumes the stream exactly as len(dst)
+	// SampleLaplace calls would.
 	FillLaplace(scale float64, dst []float64)
 
-	// Child returns an independent stream for one mechanism call or one
-	// parallel shard. Crypto sources return a fresh entropy-backed
-	// stream with no shared state; seeded sources return a child stream
-	// seeded from the root (the split sequence is part of the
-	// reproducibility contract); wrapped shared streams return
-	// themselves.
+	// Child returns an independent stream for one mechanism call.
+	// Crypto sources return a fresh entropy-backed stream with no
+	// shared state; seeded sources return a child stream seeded from
+	// the root (the split sequence is part of the reproducibility
+	// contract); wrapped shared streams return themselves.
 	Child() NoiseSource
 
 	// Deterministic reports whether draws are reproducible from a seed.
-	// Deterministic sources never parallelize fills — draw order is part
-	// of their contract — so sessions using them run releases serially.
+	// Draw order is part of a deterministic source's contract, so
+	// sessions using one run releases serially.
 	Deterministic() bool
 }
 
@@ -83,52 +79,28 @@ func laplaceFromRand(rng *rand.Rand, scale float64) float64 {
 // Crypto-entropy source
 // ---------------------------------------------------------------------
 
-const (
-	// parallelFillMin is the smallest fill a crypto source shards
-	// across GOMAXPROCS workers; below it the goroutine fan-out costs
-	// more than it saves.
-	parallelFillMin = 1 << 15
-
-	// parallelShardMin is the smallest per-worker shard, bounding the
-	// worker count on mid-size fills.
-	parallelShardMin = 1 << 13
-)
-
 // cryptoNoise expands operating-system entropy through a ChaCha8 stream
 // cipher: each source draws one 32-byte seed from crypto/rand and then
 // generates uniforms at memory speed, so release throughput is bounded
 // by the Laplace transform rather than by getrandom syscalls (raw
 // crypto/rand reads cost ~20 ns per draw; the keyed ChaCha8 expansion,
 // the same construction the Go runtime uses for its internal random
-// state, costs ~2 ns). Not safe for concurrent use by itself (Child
-// returns independent streams for that); large FillLaplace calls shard
-// internally across freshly seeded child streams.
+// state, costs ~2 ns). Not safe for concurrent use by itself; Child
+// returns independent streams for that.
 type cryptoNoise struct {
-	cha    *randv2.ChaCha8
-	serial bool
+	cha *randv2.ChaCha8
 }
 
-// NewCryptoNoise returns a crypto-grade NoiseSource: a ChaCha8 stream
+// NewCryptoNoise returns a crypto-grade NoiseSource: one ChaCha8 stream
 // seeded from crypto/rand. Seeding and reproducibility are unavailable
-// by design. Large fills are sharded across GOMAXPROCS workers, each
-// with its own independently seeded stream.
+// by design. Fills are serial; parallel releases draw from Child
+// streams instead.
 func NewCryptoNoise() NoiseSource {
-	return newCryptoNoise(false)
-}
-
-// NewSerialCryptoNoise returns a crypto-grade NoiseSource that never
-// shards fills across workers: the single-threaded baseline used by the
-// throughput benchmarks and the per-shard worker streams.
-func NewSerialCryptoNoise() NoiseSource {
-	return newCryptoNoise(true)
-}
-
-func newCryptoNoise(serial bool) *cryptoNoise {
 	var seed [32]byte
 	if _, err := crand.Read(seed[:]); err != nil {
 		panic(fmt.Sprintf("dp: crypto/rand read failed: %v", err))
 	}
-	return &cryptoNoise{cha: randv2.NewChaCha8(seed), serial: serial}
+	return &cryptoNoise{cha: randv2.NewChaCha8(seed)}
 }
 
 // uniform returns the next uniform draw in [0, 1) at float64 resolution
@@ -157,89 +129,16 @@ func (c *cryptoNoise) laplace(scale float64) float64 {
 	return -scale * math.Log(1-2*u)
 }
 
-//dpvet:hotpath
-func (c *cryptoNoise) FillLaplace(scale float64, dst []float64) {
-	checkNoiseScale(scale)
-	if !c.serial && len(dst) >= parallelFillMin && runtime.GOMAXPROCS(0) > 1 {
-		fillLaplaceParallel(scale, dst)
-		return
-	}
-	c.fillSerial(scale, dst)
-}
-
-// fillSerial converts the ChaCha8 stream into Laplace draws one value
+// FillLaplace converts the ChaCha8 stream into Laplace draws one value
 // at a time. It performs no allocation: the stream state lives in the
 // receiver and dst is caller-owned.
 //
 //dpvet:hotpath
-func (c *cryptoNoise) fillSerial(scale float64, dst []float64) {
+func (c *cryptoNoise) FillLaplace(scale float64, dst []float64) {
+	checkNoiseScale(scale)
 	for i := range dst {
 		dst[i] = c.laplace(scale)
 	}
-}
-
-// fillLaplaceParallel shards dst across up to GOMAXPROCS workers, each
-// drawing from its own independent entropy stream. Only reached from
-// non-deterministic sources, where draw order carries no contract.
-func fillLaplaceParallel(scale float64, dst []float64) {
-	shardRanges(len(dst), func(lo, hi int) {
-		newCryptoNoise(true).fillSerial(scale, dst[lo:hi])
-	})
-}
-
-// laplaceAdder is the optional fused fill-and-add fast path a
-// NoiseSource may provide; AddLaplace upgrades to it when present.
-// Sources whose draw order is contractual must not implement it.
-type laplaceAdder interface {
-	addLaplace(scale float64, v, out []float64)
-}
-
-// addLaplace writes out[i] = v[i] + Lap(scale) for all i, sharding both
-// the fill and the add across workers for large vectors: the vectorized
-// core of dp.AddLaplace on crypto sources. len(out) must equal len(v).
-func (c *cryptoNoise) addLaplace(scale float64, v, out []float64) {
-	if !c.serial && len(v) >= parallelFillMin && runtime.GOMAXPROCS(0) > 1 {
-		shardRanges(len(v), func(lo, hi int) {
-			part := out[lo:hi]
-			newCryptoNoise(true).fillSerial(scale, part)
-			for i, a := range v[lo:hi] {
-				part[i] += a
-			}
-		})
-		return
-	}
-	c.fillSerial(scale, out)
-	for i, a := range v {
-		out[i] += a
-	}
-}
-
-// shardRanges splits [0, n) into up to GOMAXPROCS contiguous ranges of
-// at least parallelShardMin elements and runs work on each concurrently,
-// falling back to one inline call when sharding isn't worthwhile.
-func shardRanges(n int, work func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if max := n / parallelShardMin; workers > max {
-		workers = max
-	}
-	if workers < 2 {
-		work(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			work(lo, hi)
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 func (c *cryptoNoise) Child() NoiseSource {
@@ -247,7 +146,7 @@ func (c *cryptoNoise) Child() NoiseSource {
 	// parent's cha stream: dpgraph calls Child concurrently on one
 	// shared crypto root (see the NoiseSource doc), so forking from the
 	// parent stream here would be a data race.
-	return newCryptoNoise(c.serial)
+	return NewCryptoNoise()
 }
 
 func (c *cryptoNoise) Deterministic() bool { return false }

@@ -4,12 +4,10 @@
 #
 # 1. Release-once/query-many: steady-state DistanceOracle point queries
 #    on the tree, hierarchy, and table oracles must not allocate.
-# 2. Vectorized noise: the FillLaplace block sampler (crypto-serial and
-#    seeded sub-benchmarks) must not allocate per block.
-# 3. Parallel release: on machines with GOMAXPROCS >= 8, the sharded
-#    crypto fill must deliver >= 4x wall-clock over the serial path on a
-#    >= 1M-edge ReleaseGraph (skipped on smaller machines, where the two
-#    paths coincide).
+# 2. Vectorized noise: the FillLaplace block sampler (the default crypto
+#    source and the seeded source) must not allocate per block.
+# 3. (Retired with the sharded noise fill it timed; the other guards
+#    keep their numbers.)
 # 4. Indexed serving: on a >= 100k-edge synthetic release, the
 #    contraction-hierarchy oracle (WithQueryIndex) must answer point
 #    queries >= 10x faster than the unindexed per-query Dijkstra oracle.
@@ -31,21 +29,16 @@
 #    the pipelined NDJSON stream endpoint on a hub-label release; and
 #    with 256 concurrent same-source clients, plain hub-label point
 #    queries must reach >= 1.5x the throughput of the CH release.
-# 9. Fleet scaling + fault recovery: three single-core replicas behind
-#    the route coordinator must deliver >= 2x the aggregate qps of one
-#    replica (needs >= 6 cores: three pinned replicas plus coordinator
-#    plus bench client; skipped on smaller machines, where every process
-#    shares the same core and aggregate throughput physically cannot
-#    scale), and after a replica is killed -9 mid-fleet the coordinator
-#    must evict it within two probe intervals and keep serving within
-#    the bench error budget (runs everywhere).
+# 9. Fault recovery: after one of three live replicas is killed -9, the
+#    route coordinator must evict it within two probe intervals and keep
+#    serving within the bench error budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
 
 # --- 1 + 2: allocation guards -----------------------------------------
-out=$(go test -bench 'BenchmarkOracleDistance/(tree|hierarchy|table)|BenchmarkFillLaplace/(crypto-serial|seeded)' \
+out=$(go test -bench 'BenchmarkOracleDistance/(tree|hierarchy|table)|BenchmarkFillLaplace/(crypto|seeded)' \
     -benchmem -benchtime=200x -run '^$' .)
 echo "$out"
 
@@ -57,37 +50,6 @@ if [ -n "$bad" ]; then
     fail=1
 else
     echo "OK: oracle point queries and block sampling report 0 allocs/op"
-fi
-
-# --- 3: parallel release speedup --------------------------------------
-# Effective parallelism: an explicit GOMAXPROCS (container/cgroup
-# setups) wins over the online-processor count.
-procs="${GOMAXPROCS:-}"
-[ -n "$procs" ] || procs=$(go env GOMAXPROCS 2>/dev/null || true)
-[ -n "$procs" ] && [ "$procs" != "0" ] || procs=$(getconf _NPROCESSORS_ONLN)
-if [ "$procs" -ge 8 ]; then
-    # -count=3 and best-of ratios de-flake the gate against noisy
-    # neighbors on shared runners: serial takes its fastest run (the
-    # hardest comparison), parallel its fastest too.
-    out=$(go test -bench 'BenchmarkParallelRelease' -benchtime=5x -count=3 -run '^$' .)
-    echo "$out"
-    serial=$(echo "$out" | awk '/^BenchmarkParallelRelease\/serial/ {if (min == "" || $3 < min) min = $3} END {print min}')
-    parallel=$(echo "$out" | awk '/^BenchmarkParallelRelease\/parallel/ {if (min == "" || $3 < min) min = $3} END {print min}')
-    if [ -z "$serial" ] || [ -z "$parallel" ]; then
-        echo "FAIL: could not parse BenchmarkParallelRelease output" >&2
-        fail=1
-    else
-        speedup=$(awk -v s="$serial" -v p="$parallel" 'BEGIN {printf "%.2f", s / p}')
-        echo "parallel release speedup at GOMAXPROCS=$procs: ${speedup}x"
-        if awk -v x="$speedup" 'BEGIN {exit !(x < 4)}'; then
-            echo "FAIL: parallel release speedup ${speedup}x < 4x at GOMAXPROCS=$procs" >&2
-            fail=1
-        else
-            echo "OK: parallel release >= 4x over serial"
-        fi
-    fi
-else
-    echo "SKIP: parallel release speedup guard needs GOMAXPROCS >= 8 (have $procs)"
 fi
 
 # --- 4: indexed serving speedup ---------------------------------------
@@ -302,11 +264,11 @@ else
     fi
 fi
 
-# --- 9: fleet scaling + fault recovery ---------------------------------
-# (a) `dpgraph fleet` boots real replica and coordinator processes and
-# benches through the coordinator at every scale. The release is
-# unindexed so each query costs a real Dijkstra and a GOMAXPROCS=1
-# replica is CPU-bound — added replicas add real capacity.
+# --- 9: fault recovery -------------------------------------------------
+# Kill -9 one of three live replicas: the coordinator must mark it
+# evicted within two probe intervals (plus scheduling slack for the
+# shell poll loop) and the degraded pool must pass a bench within a 1%
+# error budget.
 awk 'BEGIN {
     side = 60
     print "graph", side * side
@@ -317,32 +279,6 @@ awk 'BEGIN {
             if (r + 1 < side) print "edge", v, v + side, 1 + (v + 3) % 7
         }
 }' > "$workdir/fleetgrid.txt"
-if [ "$procs" -ge 6 ]; then
-    out=$("$workdir/dpgraph" fleet -graph "$workdir/fleetgrid.txt" -n 3 -procs 1 -requests 4000 -c 16)
-    echo "$out"
-    one=$(echo "$out" | awk '/^fleet: scale 1 -> / {print $5}')
-    three=$(echo "$out" | awk '/^fleet: scale 3 -> / {print $5}')
-    if [ -z "$one" ] || [ -z "$three" ]; then
-        echo "FAIL: could not parse the fleet scaling output" >&2
-        fail=1
-    else
-        ratio=$(awk -v a="$one" -v b="$three" 'BEGIN {printf "%.2f", b / a}')
-        echo "fleet scaling 1 -> 3 replicas: ${ratio}x (${three} vs ${one} requests/s)"
-        if awk -v x="$ratio" 'BEGIN {exit !(x < 2)}'; then
-            echo "FAIL: 3-replica aggregate qps ${ratio}x < 2x a single replica" >&2
-            fail=1
-        else
-            echo "OK: 3 replicas deliver >= 2x single-replica throughput"
-        fi
-    fi
-else
-    echo "SKIP: fleet scaling guard needs >= 6 cores (have $procs)"
-fi
-
-# (b) Kill -9 one of three live replicas: the coordinator must mark it
-# evicted within two probe intervals (plus scheduling slack for the
-# shell poll loop) and the degraded pool must pass a bench within a 1%
-# error budget.
 mkdir -p "$workdir/fleetsnap"
 "$workdir/dpgraph" -graph "$workdir/fleetgrid.txt" -eps 1 -seed 7 seal release \
     -out "$workdir/fleetsnap/bench.dpsnap"
