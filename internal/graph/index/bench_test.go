@@ -30,6 +30,26 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildHL times label generation alone: the hierarchy of the
+// same grid is built once, outside the timer. scripts/check_perf_guards.sh
+// gate #7 holds it to a fraction of BenchmarkBuild/ch.
+func BenchmarkBuildHL(b *testing.B) {
+	g, w := benchGraph(b)
+	ch, err := buildCH(prepare(g, w), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var x *hlIndex
+	for i := 0; i < b.N; i++ {
+		if x, err = buildHL(ch, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(x.labHub))/float64(x.n), "entries/vertex")
+}
+
 func BenchmarkIndexDistance(b *testing.B) {
 	g, w := benchGraph(b)
 	n := g.N()

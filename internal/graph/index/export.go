@@ -13,12 +13,12 @@ import (
 // an equivalent index over the same (topology, weights) pair without
 // repeating construction. Only the expensive, non-derivable state is
 // exported — the CH upward graph (the product of contraction), the HL
-// label arena (one pruned upward search per vertex), and the ALT
-// landmark distance rows (k full Dijkstras). Everything cheaply
-// derivable from the topology and released weights (the simplified CSR,
-// component labels, a sweep order for the upward DAG) is recomputed at
-// rehydration instead, which both
-// shrinks snapshots and removes those arrays as a tamper surface:
+// label arena (one pruned merge of the upward neighbours' labels per
+// vertex), and the ALT landmark distance rows (k full Dijkstras).
+// Everything cheaply derivable from the topology and released weights
+// (the simplified CSR, component labels, a sweep order for the upward
+// DAG) is recomputed at rehydration instead, which both shrinks
+// snapshots and removes those arrays as a tamper surface:
 // a rehydrated index can never disagree with its own topology about
 // adjacency or connectivity.
 

@@ -3,7 +3,7 @@ package index
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -11,22 +11,22 @@ import (
 // This file implements the hub-labeling index: a 2-hop labeling computed
 // from the contraction order of an already-built hierarchy. Every vertex
 // v carries a label L(v) — a sorted flat array of (hub, dist) pairs over
-// the vertices of v's stall-pruned upward search space — and a point
-// query is a single linear merge of L(s) and L(t): no heap, no graph
-// traversal, no per-query state at all. On hierarchical topologies
-// labels run tens-to-hundreds of entries, putting point queries in the
-// single-digit-microsecond range, an order of magnitude under the
-// bidirectional CH search.
+// v and higher-ranked vertices, built top-down by merging the labels of
+// v's upward neighbours — and a point query is a single linear merge of
+// L(s) and L(t): no heap, no graph traversal, no per-query state at
+// all. On hierarchical topologies labels run tens-to-hundreds of
+// entries, putting point queries in the single-digit-microsecond range,
+// an order of magnitude under the bidirectional CH search.
 //
 // Correctness inherits from the hierarchy: every shortest s-t path has
 // an up-down form whose peak (maximum-rank) vertex appears in both
-// upward search spaces with its exact distance and is never stalled or
-// pruned, so the merge minimum over common hubs equals the CH query
-// answer. Entries whose upward distance overestimates the true distance
-// are redundant but harmless (every merge candidate is the length of a
-// real walk); label pruning removes most of them: an entry (h, d) is
-// dropped when some higher hub h' already proves a strictly shorter
-// v-h connection, which can never hold for a peak vertex.
+// labels with its exact distance, so the merge minimum over common hubs
+// equals the CH query answer. Entries whose distance overestimates the
+// true distance are redundant but harmless (every merge candidate is
+// the length of a real walk); label pruning removes most of them: an
+// entry (h, d) is dropped when some higher hub h' already proves a
+// strictly shorter v-h connection, which can never hold for a peak
+// vertex.
 //
 // Labels are pure post-processing of the released weights — exactly
 // like the hierarchy they are computed from, they touch nothing private
@@ -98,11 +98,11 @@ func (x *hlIndex) DistancesFrom(s int, targets []int, out []float64) {
 // O(n + m) sweep only wins on much larger fan-outs than it does for CH.
 func (x *hlIndex) MinSweepTargets() int { return 64 + x.n/64 }
 
-// hlWork is one label-generation worker's scratch: an upward search
-// state (doubling as the candidate-distance lookup during pruning) and
-// the candidate hub buffer.
+// hlWork is one label-generation worker's scratch: a dense tentative
+// distance per hub (+Inf when not a candidate of the current vertex)
+// and the candidate list that resets it.
 type hlWork struct {
-	st    *searchState
+	tent  []float64
 	cands []int32
 }
 
@@ -112,10 +112,12 @@ type hlWork struct {
 // hierarchy alone; an explicit HL request passes 0 and always
 // completes.
 //
-// Vertices are processed top-down in contraction order, parallel within
-// levels of equal up-DAG depth: pruning vertex v reads only labels of
-// vertices in v's upward search space, all of strictly smaller depth,
-// so every read happens after the barrier that completed that level.
+// Vertices are processed top-down, parallel within levels of equal
+// up-DAG depth: labeling v reads only the labels of v's upward
+// neighbours and of their hubs, all of strictly smaller depth, so every
+// read happens after the barrier that completed that level. A label
+// depends only on labels already built, never on which worker built
+// what, so the result is the same at any GOMAXPROCS.
 func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	n := ch.n
 
@@ -156,7 +158,11 @@ func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	}
 	works := make([]*hlWork, workers)
 	for i := range works {
-		works[i] = &hlWork{st: newSearchState(n)}
+		tent := make([]float64, n)
+		for v := range tent {
+			tent[v] = math.Inf(1)
+		}
+		works[i] = &hlWork{tent: tent}
 	}
 	for _, level := range levels {
 		if aborted.Load() {
@@ -205,57 +211,45 @@ func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	return x, nil
 }
 
-// labelVertex runs the stall-pruned upward search from v, prunes the
-// candidates through the already-computed labels of higher vertices,
-// and stores the kept (hub, dist) pairs sorted by hub id.
+// labelVertex builds L(v) top-down from the labels of v's upward
+// neighbours (Abraham et al., "Hierarchical Hub Labelings for Shortest
+// Paths", ESA 2012): the candidates are (v, 0) plus (h, w + d) for each
+// upward edge (v→u, w) and each entry (h, d) of L(u), keeping the
+// minimum per hub. The survivors of pruning are stored sorted by hub
+// id. The peak p of a shortest up-down path keeps its exact distance in
+// every label along the path's upward half, by induction down from
+// L(p), because pruning is strict.
 func labelVertex(ch *chIndex, v int32, work *hlWork, hubs [][]int32, dists [][]float64) int {
-	st := work.st
-	st.begin()
-	st.update(v, 0, 0)
-	cands := work.cands[:0]
-	for !st.empty() {
-		x := st.pop()
-		st.settled[x] = true
-		d := st.dist[x]
-		// Stall-on-demand: a vertex whose upward label is dominated via a
-		// higher, already-labeled neighbor cannot be the peak of any
-		// shortest up-down path — drop it from the candidate set and skip
-		// its expansion. Its (overestimated) distance stays readable in
-		// st for the pruning pass, where upper bounds are all it needs.
-		stalled := false
-		for i := ch.upOff[x]; i < ch.upOff[x+1]; i++ {
-			u := ch.upTo[i]
-			if st.labeled(u) && st.dist[u]+ch.upWt[i] < d {
-				stalled = true
-				break
-			}
-		}
-		if stalled {
-			continue
-		}
-		cands = append(cands, x)
-		for i := ch.upOff[x]; i < ch.upOff[x+1]; i++ {
-			u := ch.upTo[i]
-			if st.labeled(u) && st.settled[u] {
-				continue
-			}
-			if nd := d + ch.upWt[i]; nd < st.distance(u) {
-				st.update(u, nd, nd)
+	tent := work.tent
+	tent[v] = 0
+	cands := append(work.cands[:0], v)
+	for i := ch.upOff[v]; i < ch.upOff[v+1]; i++ {
+		u, w := ch.upTo[i], ch.upWt[i]
+		uDists := dists[u]
+		for j, h := range hubs[u] {
+			if nd, t := w+uDists[j], tent[h]; nd < t {
+				if math.IsInf(t, 1) {
+					cands = append(cands, h)
+				}
+				tent[h] = nd
 			}
 		}
 	}
-	sort.Sort(int32Slice(cands))
+	slices.Sort(cands)
 	work.cands = cands
 
 	kh := make([]int32, 0, len(cands))
 	kd := make([]float64, 0, len(cands))
 	for _, h := range cands {
-		d := st.dist[h]
-		if h != v && prunedVia(st, hubs[h], dists[h], d) {
+		d := tent[h]
+		if h != v && prunedVia(tent, hubs[h], dists[h], d) {
 			continue
 		}
 		kh = append(kh, h)
 		kd = append(kd, d)
+	}
+	for _, h := range cands {
+		tent[h] = math.Inf(1)
 	}
 	hubs[v], dists[v] = kh, kd
 	return len(kh)
@@ -263,23 +257,16 @@ func labelVertex(ch *chIndex, v int32, work *hlWork, hubs [][]int32, dists [][]f
 
 // prunedVia reports whether some hub h' of the candidate hub's label
 // proves a strictly shorter connection than the candidate entry's
-// distance d: dist(v, h') + dist(h', h) < d, with dist(v, h') read as
-// the upward-search upper bound. Strictness is what makes pruning safe:
-// a peak vertex carries its exact distance, for which no strictly
-// shorter two-hop bound can exist.
-func prunedVia(st *searchState, labHubs []int32, labDists []float64, d float64) bool {
+// distance d: tent[h'] + dist(h', h) < d, where tent holds v's
+// candidate distances (each the length of a real walk) and +Inf for
+// non-candidates. Strictness is what makes pruning safe: a peak vertex
+// carries its exact distance, for which no strictly shorter two-hop
+// bound can exist.
+func prunedVia(tent []float64, labHubs []int32, labDists []float64, d float64) bool {
 	for j, h2 := range labHubs {
-		if st.labeled(h2) && st.dist[h2]+labDists[j] < d {
+		if tent[h2]+labDists[j] < d {
 			return true
 		}
 	}
 	return false
 }
-
-// int32Slice implements sort.Interface without the per-call closure
-// allocations of sort.Slice (label generation sorts once per vertex).
-type int32Slice []int32
-
-func (s int32Slice) Len() int           { return len(s) }
-func (s int32Slice) Less(i, j int) bool { return s[i] < s[j] }
-func (s int32Slice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }

@@ -3,6 +3,8 @@ package index
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -90,6 +92,70 @@ func TestHLLabelInvariants(t *testing.T) {
 		if !self {
 			t.Fatalf("vertex %d: label lacks its self entry", v)
 		}
+	}
+}
+
+// TestHLLabelsExactOnTies: with integer weights in {0, 1, 2} every sum
+// is exact, so ties between shortest paths really happen and a wrong
+// tie-break in the label merge or its pruning would show. Every answer
+// must equal Dijkstra bit for bit, and every kept entry (h, d) must
+// carry the exact distance from v to h.
+func TestHLLabelsExactOnTies(t *testing.T) {
+	g := graph.Grid(30)
+	n := g.N()
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := make([]float64, g.M())
+		for i := range w {
+			w[i] = float64(rng.Intn(3))
+		}
+		idx, err := Build(g, w, Options{Mode: HL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := idx.(*hlIndex)
+		for s := 0; s < n; s++ {
+			tree, err := graph.Dijkstra(g, w, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < n; u++ {
+				if got := x.Distance(s, u); got != tree.Dist[u] {
+					t.Fatalf("seed %d: Distance(%d,%d) = %v, want %v", seed, s, u, got, tree.Dist[u])
+				}
+			}
+			for i := x.labOff[s]; i < x.labOff[s+1]; i++ {
+				if h, d := x.labHub[i], x.labDist[i]; d != tree.Dist[h] {
+					t.Fatalf("seed %d: L(%d) holds (%d, %v), exact distance %v", seed, s, h, d, tree.Dist[h])
+				}
+			}
+		}
+	}
+}
+
+// TestHLBuildScheduleIndependent: a label reads only labels finished at
+// an earlier level barrier, so one worker and the default worker count
+// must produce the same arena.
+func TestHLBuildScheduleIndependent(t *testing.T) {
+	g, w := exportGrid(40)
+	ch, err := buildCH(prepare(g, w), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.GOMAXPROCS(1)
+	serial, err := buildHL(ch, 0)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := buildHL(ch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(serial.labOff, parallel.labOff) ||
+		!slices.Equal(serial.labHub, parallel.labHub) ||
+		!slices.Equal(serial.labDist, parallel.labDist) {
+		t.Fatalf("labels differ between GOMAXPROCS 1 and %d", prev)
 	}
 }
 
