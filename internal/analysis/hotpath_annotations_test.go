@@ -36,7 +36,7 @@ var guardedFunctions = map[string][]string{
 	},
 	"internal/graph/index/search.go": {
 		// guard #7: the searchState kernel under both CH and PHAST
-		"begin", "labeled", "distance", "touch", "update",
+		"begin", "distance", "settled", "update",
 		"empty", "minKey", "pop", "siftUp", "siftDown",
 	},
 	"internal/serve/fastjson.go": {

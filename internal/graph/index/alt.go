@@ -139,13 +139,11 @@ func (a *altIndex) fillRow(st *searchState, src int32, row []float64) {
 	st.begin()
 	st.update(src, 0, 0)
 	for !st.empty() {
-		v := st.pop()
-		st.settled[v] = true
-		d := st.dist[v]
+		v, d := st.pop()
 		row[v] = d
 		for i := a.off[v]; i < a.off[v+1]; i++ {
 			u := a.to[i]
-			if st.labeled(u) && st.settled[u] {
+			if st.settled(u) {
 				continue
 			}
 			if nd := d + a.wt[i]; nd < st.distance(u) {
@@ -189,16 +187,14 @@ func (a *altIndex) Distance(s, t int) float64 {
 	st.update(int32(s), 0, h(int32(s)))
 	result := math.Inf(1)
 	for !st.empty() {
-		v := st.pop()
-		st.settled[v] = true
+		v, d := st.pop()
 		if int(v) == t {
-			result = st.dist[v]
+			result = d
 			break
 		}
-		d := st.dist[v]
 		for i := a.off[v]; i < a.off[v+1]; i++ {
 			u := a.to[i]
-			if st.labeled(u) && st.settled[u] {
+			if st.settled(u) {
 				continue
 			}
 			if nd := d + a.wt[i]; nd < st.distance(u) {

@@ -32,7 +32,7 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkBuildHL times label generation alone: the hierarchy of the
 // same grid is built once, outside the timer. scripts/check_perf_guards.sh
-// gate #7 holds it to a fraction of BenchmarkBuild/ch.
+// gate #7 holds it to a multiple of BenchmarkFullDijkstra.
 func BenchmarkBuildHL(b *testing.B) {
 	g, w := benchGraph(b)
 	ch, err := buildCH(prepare(g, w), false)
@@ -48,6 +48,21 @@ func BenchmarkBuildHL(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(x.labHub))/float64(x.n), "entries/vertex")
+}
+
+// BenchmarkFullDijkstra times one full single-source Dijkstra over the
+// same grid: the yardstick gate #7 measures label generation against,
+// since it shares the host's speed but none of the index's code.
+func BenchmarkFullDijkstra(b *testing.B) {
+	g, w := benchGraph(b)
+	n := g.N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.Dijkstra(g, w, (i*7919)%n); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkIndexDistance(b *testing.B) {

@@ -14,6 +14,14 @@ import (
 // graph with stall-on-demand pruning. On hierarchical topologies (grids,
 // road-like networks, hub-and-spoke graphs) a query settles a few
 // hundred vertices however large the graph is.
+//
+// Witness searches are nearly all of the build time, so contraction
+// keeps them small without changing what they find: the dynamic
+// adjacency holds live neighbors only (a contracted vertex is deleted
+// from its neighbors' lists, order kept), and each search stops as soon
+// as every shortcut decision it feeds is fixed. The hierarchy is the
+// one the plain algorithm builds, down to the tie-breaks among equal
+// paths; TestHierarchyGolden pins it.
 
 // chIndex is the frozen, query-ready hierarchy: a flat CSR of upward
 // edges (original and shortcut) per vertex, ordered by contraction rank.
@@ -77,18 +85,13 @@ func (c *chIndex) Distance(s, t int) float64 {
 		if bk < fk {
 			dir, other = b, f
 		}
-		v := dir.pop()
-		dir.settled[v] = true
-		d := dir.dist[v]
-		if other.labeled(v) {
-			if cand := d + other.dist[v]; cand < best {
-				best = cand
-			}
+		v, d := dir.pop()
+		if cand := d + other.distance(v); cand < best {
+			best = cand
 		}
 		stalled := false
 		for i := c.upOff[v]; i < c.upOff[v+1]; i++ {
-			u := c.upTo[i]
-			if dir.labeled(u) && dir.dist[u]+c.upWt[i] < d {
+			if dir.distance(c.upTo[i])+c.upWt[i] < d {
 				stalled = true
 				break
 			}
@@ -98,7 +101,7 @@ func (c *chIndex) Distance(s, t int) float64 {
 		}
 		for i := c.upOff[v]; i < c.upOff[v+1]; i++ {
 			u := c.upTo[i]
-			if dir.labeled(u) && dir.settled[u] {
+			if dir.settled(u) {
 				continue
 			}
 			if nd := d + c.upWt[i]; nd < dir.distance(u) {
@@ -123,10 +126,11 @@ type dynEdge struct {
 // node never repeats the witness searches its final priority
 // evaluation just ran.
 type chWork struct {
-	st   *searchState
-	nbr  []int32
-	nwt  []float64
-	mark []int32 // mark[v] = index into nbr + 1, cleared after use
+	st      *searchState
+	nbr     []int32
+	nwt     []float64
+	mark    []int32 // mark[v] = index into nbr + 1, cleared after use
+	decided []bool  // per nbr index: the current witness search's verdict is fixed
 
 	scA, scB []int32 // planned shortcut endpoints
 	scW      []float64
@@ -136,14 +140,17 @@ func newCHWork(n int) *chWork {
 	return &chWork{st: newSearchState(n), mark: make([]int32, n)}
 }
 
-// chBuilder carries the contraction state.
+// chBuilder carries the contraction state. adj holds only live
+// entries: contracting v removes it from every remaining neighbor's
+// list, so the list of an uncontracted vertex names exactly its
+// uncontracted neighbors, and the list of a contracted vertex — frozen
+// from then on — names exactly its upward neighbors.
 type chBuilder struct {
 	p *prepared
 
-	adj        [][]dynEdge
-	contracted []bool
-	rank       []int32
-	delNbr     []int32 // contracted-neighbor count (ordering heuristic)
+	adj    [][]dynEdge
+	rank   []int32
+	delNbr []int32 // contracted-neighbor count (ordering heuristic)
 }
 
 // buildCH contracts every node and freezes the upward graph. With
@@ -153,11 +160,10 @@ type chBuilder struct {
 func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 	n := p.n
 	b := &chBuilder{
-		p:          p,
-		adj:        make([][]dynEdge, n),
-		contracted: make([]bool, n),
-		rank:       make([]int32, n),
-		delNbr:     make([]int32, n),
+		p:      p,
+		adj:    make([][]dynEdge, n),
+		rank:   make([]int32, n),
+		delNbr: make([]int32, n),
 	}
 	for v := int32(0); v < int32(n); v++ {
 		deg := int(p.off[v+1] - p.off[v])
@@ -201,7 +207,8 @@ func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 
 	// Lazy bottom-up ordering: pop the cheapest node, re-evaluate its
 	// priority, and contract only if it still beats the next candidate;
-	// otherwise push it back with the fresh value.
+	// otherwise push it back with the fresh value. Every vertex has
+	// exactly one heap entry until it is contracted.
 	h := &pairHeap{}
 	h.nodes = make([]pairNode, 0, n)
 	for v := 0; v < n; v++ {
@@ -217,9 +224,6 @@ func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 	for h.len() > 0 {
 		top := h.pop()
 		v := top.v
-		if b.contracted[v] {
-			continue
-		}
 		if fresh := b.priority(v, work); fresh > top.prio {
 			if h.len() > 0 && fresh > h.min().prio {
 				h.push(pairNode{prio: fresh, v: v})
@@ -232,7 +236,6 @@ func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 		if guard >= 0 && shortcuts > guard {
 			return nil, errDegenerate
 		}
-		b.contracted[v] = true
 		b.rank[v] = nextRank
 		nextRank++
 	}
@@ -240,8 +243,9 @@ func buildCH(p *prepared, guarded bool) (*chIndex, error) {
 	return b.freeze(), nil
 }
 
-// gather collects v's distinct uncontracted neighbors with their
-// minimum edge weight into w.nbr/w.nwt (cleared on the next call).
+// gather copies v's neighbors (all uncontracted, each listed once) and
+// their edge weights into w.nbr/w.nwt, marking each one's index in
+// w.mark (cleared on the next call).
 func (b *chBuilder) gather(v int32, w *chWork) {
 	for _, u := range w.nbr {
 		w.mark[u] = 0
@@ -249,15 +253,6 @@ func (b *chBuilder) gather(v int32, w *chWork) {
 	w.nbr = w.nbr[:0]
 	w.nwt = w.nwt[:0]
 	for _, e := range b.adj[v] {
-		if b.contracted[e.to] {
-			continue
-		}
-		if m := w.mark[e.to]; m > 0 {
-			if e.w < w.nwt[m-1] {
-				w.nwt[m-1] = e.w
-			}
-			continue
-		}
 		w.nbr = append(w.nbr, e.to)
 		w.nwt = append(w.nwt, e.w)
 		w.mark[e.to] = int32(len(w.nbr))
@@ -277,6 +272,10 @@ func (b *chBuilder) simulate(v int32, w *chWork) int {
 	if k <= 1 {
 		return 0
 	}
+	if cap(w.decided) < k {
+		w.decided = make([]bool, k)
+	}
+	w.decided = w.decided[:k]
 	maxOut := 0.0
 	for _, x := range w.nwt {
 		if x > maxOut {
@@ -299,37 +298,44 @@ func (b *chBuilder) simulate(v int32, w *chWork) int {
 	return len(w.scA)
 }
 
-// witness runs a settle-limited Dijkstra from neighbor minIdx of v over
-// the uncontracted subgraph with v excluded, stopping past limit or
-// once every shortcut target (the neighbors after minIdx) has settled;
-// simulate reads the resulting labels through w.st.distance.
-func (b *chBuilder) witness(v int32, w *chWork, minIdx int, limit float64) {
+// witness runs a settle-limited Dijkstra from neighbor src of v over
+// the uncontracted subgraph with v excluded; simulate reads the
+// resulting labels through w.st.distance. The search stops past limit,
+// once the settle budget is spent, or once every shortcut target (the
+// neighbors u_j after src) is decided: settled, or labeled at most
+// w_src + w_j. Labels only fall, so running on could change neither
+// a decided target's verdict nor what the budget would have cut off.
+func (b *chBuilder) witness(v int32, w *chWork, src int, limit float64) {
 	st := w.st
 	st.begin()
-	st.update(w.nbr[minIdx], 0, 0)
+	st.update(w.nbr[src], 0, 0)
+	ws := w.nwt[src]
+	for j := src + 1; j < len(w.decided); j++ {
+		w.decided[j] = false
+	}
+	open := len(w.nbr) - src - 1
 	budget := witnessSettleLimit
-	targets := len(w.nbr) - minIdx - 1
-	for !st.empty() && budget > 0 && targets > 0 {
+	for !st.empty() && budget > 0 && open > 0 {
 		if st.minKey() > limit {
 			break
 		}
-		x := st.pop()
-		st.settled[x] = true
+		x, d := st.pop()
 		budget--
-		if m := w.mark[x]; m > 0 && int(m-1) > minIdx {
-			targets--
+		if j := int(w.mark[x]) - 1; j > src && !w.decided[j] {
+			w.decided[j] = true
+			open--
 		}
-		d := st.dist[x]
 		for _, e := range b.adj[x] {
 			u := e.to
-			if u == v || b.contracted[u] {
-				continue
-			}
-			if st.labeled(u) && st.settled[u] {
+			if u == v || st.settled(u) {
 				continue
 			}
 			if nd := d + e.w; nd < st.distance(u) {
 				st.update(u, nd, nd)
+				if j := int(w.mark[u]) - 1; j > src && !w.decided[j] && nd <= ws+w.nwt[j] {
+					w.decided[j] = true
+					open--
+				}
 			}
 		}
 	}
@@ -350,6 +356,19 @@ func (b *chBuilder) insert(u, to int32, wt float64) {
 	b.adj[u] = append(list, dynEdge{to: to, w: wt})
 }
 
+// purge deletes v from u's adjacency. It shifts the tail rather than
+// swapping the last entry in: the list order is the witness searches'
+// relaxation order, and with it the tie-breaking among equal paths.
+func (b *chBuilder) purge(u, v int32) {
+	list := b.adj[u]
+	for i := range list {
+		if list[i].to == v {
+			b.adj[u] = append(list[:i], list[i+1:]...)
+			return
+		}
+	}
+}
+
 // priority is the lazy ordering key: twice the edge difference
 // (shortcuts added minus edges removed) plus the contracted-neighbor
 // count, which spreads contraction evenly across the graph. It leaves
@@ -360,51 +379,41 @@ func (b *chBuilder) priority(v int32, w *chWork) int32 {
 	return int32(2*(sc-deg)) + b.delNbr[v]
 }
 
-// apply inserts the shortcuts the latest simulate planned for v and
-// bumps v's neighbors' ordering heuristic; the caller marks v
-// contracted and assigns its rank. Nothing mutated between the plan
-// and the apply (the ordering loop is serial), so the plan is exact.
+// apply contracts v: it removes v from its neighbors' lists, inserts
+// the shortcuts the latest simulate planned, and bumps the neighbors'
+// ordering heuristic; the caller assigns v's rank. Nothing mutated
+// between the plan and the apply (the ordering loop is serial), so the
+// plan is exact. v's own list is left as it is: its upward edges.
 func (b *chBuilder) apply(v int32, w *chWork) int {
+	for _, u := range w.nbr {
+		b.purge(u, v)
+		b.delNbr[u]++
+	}
 	for i := range w.scA {
 		b.insert(w.scA[i], w.scB[i], w.scW[i])
 		b.insert(w.scB[i], w.scA[i], w.scW[i])
 	}
-	for _, u := range w.nbr {
-		b.delNbr[u]++
-	}
 	return len(w.scA)
 }
 
-// freeze extracts the upward CSR: every adjacency entry pointing at a
-// later-contracted neighbor, original edges and shortcuts alike.
+// freeze extracts the upward CSR: each vertex's list as it stood when
+// the vertex was contracted, original edges and shortcuts alike.
 func (b *chBuilder) freeze() *chIndex {
 	n := b.p.n
 	c := &chIndex{n: n, comp: b.p.comp, rank: b.rank, upOff: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
-		for _, e := range b.adj[v] {
-			if b.rank[e.to] > b.rank[v] {
-				c.upOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		c.upOff[v+1] += c.upOff[v]
+		c.upOff[v+1] = c.upOff[v] + int32(len(b.adj[v]))
 	}
 	c.upTo = make([]int32, c.upOff[n])
 	c.upWt = make([]float64, c.upOff[n])
-	next := make([]int32, n)
-	copy(next, c.upOff[:n])
 	for v := 0; v < n; v++ {
-		for _, e := range b.adj[v] {
-			if b.rank[e.to] > b.rank[v] {
-				c.upTo[next[v]], c.upWt[next[v]] = e.to, e.w
-				next[v]++
-			}
+		lo, hi := c.upOff[v], c.upOff[v+1]
+		for i, e := range b.adj[v] {
+			c.upTo[lo+int32(i)], c.upWt[lo+int32(i)] = e.to, e.w
 		}
 		// Relaxation scans the whole upward list per pop; rank order is
 		// as good as any, but a deterministic layout keeps builds
 		// reproducible for identical inputs.
-		lo, hi := c.upOff[v], c.upOff[v+1]
 		sortUpEdges(c.upTo[lo:hi], c.upWt[lo:hi])
 	}
 	c.order = make([]int32, n)

@@ -61,13 +61,10 @@ func (c *chIndex) DistancesFrom(s int, targets []int, out []float64) {
 	st.begin()
 	st.update(int32(s), 0, 0)
 	for !st.empty() {
-		v := st.pop()
-		st.settled[v] = true
-		d := st.dist[v]
+		v, d := st.pop()
 		stalled := false
 		for i := c.upOff[v]; i < c.upOff[v+1]; i++ {
-			u := c.upTo[i]
-			if st.labeled(u) && st.dist[u]+c.upWt[i] < d {
+			if st.distance(c.upTo[i])+c.upWt[i] < d {
 				stalled = true
 				break
 			}
@@ -77,7 +74,7 @@ func (c *chIndex) DistancesFrom(s int, targets []int, out []float64) {
 		}
 		for i := c.upOff[v]; i < c.upOff[v+1]; i++ {
 			u := c.upTo[i]
-			if st.labeled(u) && st.settled[u] {
+			if st.settled(u) {
 				continue
 			}
 			if nd := d + c.upWt[i]; nd < st.distance(u) {

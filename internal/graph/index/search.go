@@ -3,30 +3,44 @@ package index
 import "math"
 
 // searchState is one direction of a Dijkstra/A* search with O(1) reset:
-// every per-vertex array is guarded by a version stamp, so starting a
-// new query just bumps the epoch instead of clearing O(n) memory — the
+// every per-vertex record carries a version stamp, so starting a new
+// query just bumps the epoch instead of clearing O(n) memory — the
 // whole point of an index is that queries touch far fewer than n
-// vertices. The frontier is an indexed binary heap ordered by an
-// explicit key array (plain distance for Dijkstra, distance plus
-// heuristic for A*), so decrease-key works for both.
+// vertices. The frontier is an indexed binary heap whose entries carry
+// their own ordering key (plain distance for Dijkstra, distance plus
+// heuristic for A*), so decrease-key works for both and a sift reads
+// keys from the heap array alone.
+//
+// A vertex's state is one 16-byte record — version, tentative
+// distance, and heap position, whose negative values say whether the
+// vertex is waiting to be enqueued or already settled — so a relaxation
+// touches one cache line per neighbour instead of one per array.
 type searchState struct {
-	epoch   uint32
-	ver     []uint32  // ver[v] == epoch marks dist/key/pos/settled valid
-	dist    []float64 // tentative distance label
-	key     []float64 // heap ordering key
-	settled []bool
-	pos     []int32 // heap position, -1 when not enqueued
-	heap    []int32
+	epoch uint32
+	rec   []searchRec
+	heap  []heapEntry
 }
 
+// searchRec is valid only while ver equals the search's epoch.
+type searchRec struct {
+	dist float64 // tentative distance label
+	ver  uint32
+	pos  int32 // heap position, or unqueued / settledPos
+}
+
+// heapEntry is one frontier slot: the vertex and its ordering key.
+type heapEntry struct {
+	key float64
+	v   int32
+}
+
+const (
+	unqueued   = -1 // labeled but not in the heap
+	settledPos = -2 // popped: the label is final
+)
+
 func newSearchState(n int) *searchState {
-	return &searchState{
-		ver:     make([]uint32, n),
-		dist:    make([]float64, n),
-		key:     make([]float64, n),
-		settled: make([]bool, n),
-		pos:     make([]int32, n),
-	}
+	return &searchState{rec: make([]searchRec, n)}
 }
 
 // begin starts a new search; all previous labels become stale.
@@ -36,53 +50,46 @@ func (s *searchState) begin() {
 	s.epoch++
 	s.heap = s.heap[:0]
 	if s.epoch == 0 { // wrapped: stamps from 2^32 queries ago are now live
-		for i := range s.ver {
-			s.ver[i] = 0
+		for i := range s.rec {
+			s.rec[i].ver = 0
 		}
 		s.epoch = 1
 	}
 }
 
-// labeled reports whether v carries a label in the current search.
-//
-//dpvet:hotpath
-func (s *searchState) labeled(v int32) bool { return s.ver[v] == s.epoch }
-
 // distance returns v's tentative distance, Inf when unlabeled.
 //
 //dpvet:hotpath
 func (s *searchState) distance(v int32) float64 {
-	if s.ver[v] == s.epoch {
-		return s.dist[v]
+	if r := &s.rec[v]; r.ver == s.epoch {
+		return r.dist
 	}
 	return math.Inf(1)
 }
 
-// touch makes v live in the current epoch with cleared state.
+// settled reports whether v has been popped in the current search.
 //
 //dpvet:hotpath
-func (s *searchState) touch(v int32) {
-	if s.ver[v] != s.epoch {
-		s.ver[v] = s.epoch
-		s.dist[v] = math.Inf(1)
-		s.key[v] = math.Inf(1)
-		s.settled[v] = false
-		s.pos[v] = -1
-	}
+func (s *searchState) settled(v int32) bool {
+	r := &s.rec[v]
+	return r.ver == s.epoch && r.pos == settledPos
 }
 
 // update sets v's label and key, pushing or decreasing as needed.
 //
 //dpvet:hotpath
 func (s *searchState) update(v int32, dist, key float64) {
-	s.touch(v)
-	s.dist[v] = dist
-	s.key[v] = key
-	if s.pos[v] >= 0 {
-		s.siftUp(int(s.pos[v]))
+	r := &s.rec[v]
+	if r.ver != s.epoch {
+		r.ver = s.epoch
+		r.pos = unqueued
+	}
+	r.dist = dist
+	if r.pos >= 0 {
+		s.heap[r.pos].key = key
+		s.siftUp(int(r.pos))
 	} else {
-		s.pos[v] = int32(len(s.heap))
-		s.heap = append(s.heap, v)
+		s.heap = append(s.heap, heapEntry{key: key, v: v})
 		s.siftUp(len(s.heap) - 1)
 	}
 }
@@ -99,67 +106,67 @@ func (s *searchState) minKey() float64 {
 	if len(s.heap) == 0 {
 		return math.Inf(1)
 	}
-	return s.key[s.heap[0]]
+	return s.heap[0].key
 }
 
-// pop removes and returns the frontier vertex with the minimum key.
+// pop removes the frontier vertex with the minimum key, marks it
+// settled, and returns it with its distance label.
 //
 //dpvet:hotpath
-func (s *searchState) pop() int32 {
-	top := s.heap[0]
+func (s *searchState) pop() (int32, float64) {
+	top := s.heap[0].v
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.pos[s.heap[0]] = 0
+	s.rec[s.heap[0].v].pos = 0
 	s.heap = s.heap[:last]
-	s.pos[top] = -1
+	r := &s.rec[top]
+	r.pos = settledPos
 	if last > 0 {
 		s.siftDown(0)
 	}
-	return top
+	return top, r.dist
 }
 
 //dpvet:hotpath
 func (s *searchState) siftUp(i int) {
-	v := s.heap[i]
-	k := s.key[v]
+	e := s.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		pv := s.heap[p]
-		if s.key[pv] <= k {
+		pe := s.heap[p]
+		if pe.key <= e.key {
 			break
 		}
-		s.heap[i] = pv
-		s.pos[pv] = int32(i)
+		s.heap[i] = pe
+		s.rec[pe.v].pos = int32(i)
 		i = p
 	}
-	s.heap[i] = v
-	s.pos[v] = int32(i)
+	s.heap[i] = e
+	s.rec[e.v].pos = int32(i)
 }
 
 //dpvet:hotpath
 func (s *searchState) siftDown(i int) {
-	v := s.heap[i]
-	k := s.key[v]
+	e := s.heap[i]
 	n := len(s.heap)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
-		best, bk := l, s.key[s.heap[l]]
+		best, bk := l, s.heap[l].key
 		if r := l + 1; r < n {
-			if rk := s.key[s.heap[r]]; rk < bk {
+			if rk := s.heap[r].key; rk < bk {
 				best, bk = r, rk
 			}
 		}
-		if bk >= k {
+		if bk >= e.key {
 			break
 		}
-		bv := s.heap[best]
-		s.heap[i] = bv
-		s.pos[bv] = int32(i)
+		be := s.heap[best]
+		s.heap[i] = be
+		s.rec[be.v].pos = int32(i)
 		i = best
 	}
-	s.heap[i] = v
-	s.pos[v] = int32(i)
+	s.heap[i] = e
+	s.rec[e.v].pos = int32(i)
 }

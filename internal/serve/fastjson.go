@@ -424,6 +424,9 @@ func parseObjectPairsFast(dst []dpgraph.VertexPair, data []byte, i int) ([]dpgra
 				}
 				continue
 			}
+			if i >= len(data) || data[i] != '}' {
+				return dst, false // a member is followed by ',' or '}' only
+			}
 		}
 		if i >= len(data) {
 			return dst, false

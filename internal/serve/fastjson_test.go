@@ -126,6 +126,8 @@ func TestParsePairsFastParity(t *testing.T) {
 		{"[[0,1]] extra", false},
 		{`[{"s":0,"x":1}]`, false},
 		{`[{"s":0,"t":1},]`, false},
+		{`[{"t":0"s":0}]`, false}, // members without the comma between them
+		{`[{"s":0 "t":1}]`, false},
 		{"[[0,01]]", false},
 		{"[[0,1.5]]", false},
 		{"[[0,1e2]]", false},

@@ -23,8 +23,8 @@
 #    point query must beat the CH bidirectional search >= 5x, a PHAST
 #    one-to-all sweep must beat per-pair CH queries >= 3x on a
 #    repeated-source batch, and both hot paths must be allocation-free.
-#    Building the labels from a finished hierarchy must take <= 0.35x
-#    the time of contracting that hierarchy.
+#    Building the labels from a finished hierarchy must take <= 140x
+#    the time of one full Dijkstra over the same grid.
 # 8. Zero-allocation serving + same-source throughput: the point and
 #    batch HTTP handlers must report 0 allocs/op steady-state; a real
 #    daemon over the 100,800-edge grid must push >= 100k pairs/s through
@@ -172,25 +172,31 @@ else
 fi
 
 # Build leg: label generation alone (BenchmarkBuildHL, hierarchy built
-# outside the timer) against contracting the same grid. Labels are
-# merged top-down from the upward neighbours' labels, no search per
-# vertex: measured 0.16-0.20x against the 0.35x bound, where one upward
-# search per vertex measured 0.76-0.78x. Best of -count=2 for both.
-out=$(go test -bench '^BenchmarkBuild$/^ch$|^BenchmarkBuildHL$' -benchtime=1x -count=2 -run '^$' ./internal/graph/index)
+# outside the timer) against one full single-source Dijkstra over the
+# same grid (BenchmarkFullDijkstra): the yardstick shares the host's
+# speed but none of the index's code, so a faster contraction cannot
+# loosen the leg. The 140x bound admits the labelling time 0.35x of the
+# contraction admitted before contraction got faster (calibrated at
+# 141-168x). Labels merged top-down from the upward neighbours' labels
+# measure 66-86x; one upward search per vertex measured 269x.
+# Best of -count=2 for both.
+out=$(go test -bench '^BenchmarkBuildHL$' -benchtime=1x -count=2 -run '^$' ./internal/graph/index)
 echo "$out"
-chbuild=$(echo "$out" | awk '$1 ~ /^BenchmarkBuild\/ch(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
 hlbuild=$(echo "$out" | awk '$1 ~ /^BenchmarkBuildHL(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
-if [ -z "$chbuild" ] || [ -z "$hlbuild" ]; then
-    echo "FAIL: could not parse the BenchmarkBuild/ch and BenchmarkBuildHL output" >&2
+out=$(go test -bench '^BenchmarkFullDijkstra$' -benchtime=20x -count=2 -run '^$' ./internal/graph/index)
+echo "$out"
+dijkstra=$(echo "$out" | awk '$1 ~ /^BenchmarkFullDijkstra(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
+if [ -z "$hlbuild" ] || [ -z "$dijkstra" ]; then
+    echo "FAIL: could not parse the BenchmarkBuildHL and BenchmarkFullDijkstra output" >&2
     fail=1
 else
-    ratio=$(awk -v c="$chbuild" -v h="$hlbuild" 'BEGIN {printf "%.2f", h / c}')
-    echo "hub-label build time over CH contraction: ${ratio}x"
-    if awk -v x="$ratio" 'BEGIN {exit !(x > 0.35)}'; then
-        echo "FAIL: hub-label build takes ${ratio}x the CH contraction, want <= 0.35x" >&2
+    ratio=$(awk -v d="$dijkstra" -v h="$hlbuild" 'BEGIN {printf "%.1f", h / d}')
+    echo "hub-label build time over one full Dijkstra: ${ratio}x"
+    if awk -v x="$ratio" 'BEGIN {exit !(x > 140)}'; then
+        echo "FAIL: hub-label build takes ${ratio}x one full Dijkstra, want <= 140x" >&2
         fail=1
     else
-        echo "OK: hub-label build <= 0.35x the CH contraction"
+        echo "OK: hub-label build <= 140x one full Dijkstra"
     fi
 fi
 
