@@ -172,13 +172,14 @@ func TestOracleIndexedBatchMatchesPointQueries(t *testing.T) {
 	}
 }
 
-// TestOracleRepeatedSourceBatch drives the one-to-many sweep path: a
-// batch whose every pair shares one source and whose distinct-target
-// count far exceeds any MinSweepTargets threshold must agree with point
-// queries for every index mode, including the unindexed reference.
+// TestOracleRepeatedSourceBatch drives the one-to-many paths: a batch
+// whose every pair shares one source must agree with point queries for
+// every index mode, including the unindexed reference. Its
+// distinct-target count far exceeds the CH sweep threshold, so CH
+// answers it with a sweep; ALT and HL answer it pair by pair.
 func TestOracleRepeatedSourceBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	g := Grid(16) // 256 vertices: above the HL sweep threshold
+	g := Grid(16) // 256 distinct targets: far above the CH sweep threshold
 	w := UniformRandomWeights(g, 0.5, 3, rng)
 	n := g.N()
 	pairs := make([]VertexPair, 0, 2*n)

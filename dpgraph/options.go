@@ -126,8 +126,7 @@ const (
 	// IndexALT forces the ALT landmark A* index.
 	IndexALT
 	// IndexHL forces hub labels computed from the contraction order:
-	// point queries become one linear label merge, and repeated-source
-	// batches run a single one-to-all sweep over the hierarchy.
+	// every query, point or batched, becomes one linear label merge.
 	IndexHL
 )
 

@@ -216,8 +216,8 @@ func (o *syntheticOracle) Distances(pairs []VertexPair) ([]float64, error) {
 // per-pair index plus the result cache; once a run's distinct-target
 // count reaches the index's own break-even (OneToAll.MinSweepTargets),
 // the whole run is answered by a single PHAST one-to-all sweep over the
-// hierarchy instead of per-pair searches. Indexes without a sweep (ALT)
-// always take the per-pair path.
+// hierarchy instead of per-pair searches. Indexes without a sweep (ALT
+// and HL) answer every pair in place, with no sort.
 func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error {
 	if len(out) != len(pairs) {
 		return fmt.Errorf("dpgraph: DistancesInto: %d result slots for %d pairs", len(out), len(pairs))
@@ -300,8 +300,9 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 // MinSweepTargets reports the break-even batch width of the oracle's
 // one-to-all sweep — the smallest number of distinct same-source targets
 // the index answers faster in one linear pass than per pair. It is 0
-// when the oracle has no sweep (unindexed or ALT serving), so a caller
-// sizing batches can tell whether grouping same-source pairs pays.
+// when the oracle has no sweep (unindexed, ALT or HL serving), so a
+// caller sizing batches can tell whether grouping same-source pairs
+// pays.
 func (o *syntheticOracle) MinSweepTargets() int {
 	if sweeper, ok := o.idx.(index.OneToAll); ok {
 		return sweeper.MinSweepTargets()

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -195,6 +197,80 @@ func TestSealSignedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnsealFormatVersion2HubLabels: testdata/ring-hl-v2.dpsnap is an
+// unsigned version-2 hub-label artifact, which also carries the
+// hierarchy its labels were built from. It was sealed from the six-vertex
+// ring below with
+//
+//	dpgraph -graph ring.txt -eps 1 -seed 42 -index hl seal release
+//
+// It must keep unsealing, and answer all 36 pairs bit for bit like a
+// fresh version-3 seal of the same seeded release, which carries the
+// labels alone.
+func TestUnsealFormatVersion2HubLabels(t *testing.T) {
+	const ring = "graph 6\nedge 0 1 1\nedge 1 2 2\nedge 2 3 1\nedge 3 4 2\nedge 4 5 1\nedge 0 5 4\n"
+	old, err := os.ReadFile("testdata/ring-hl-v2.dpsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w, err := ParseGraph([]byte(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, res, err := ReleaseSpec{Mechanism: "release", Epsilon: 1, Seed: 42, Index: "hl"}.Materialize(g, PrivateWeights(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	if err := Seal(&fresh, oracle, res); err != nil {
+		t.Fatal(err)
+	}
+	sections := func(data []byte) (uint32, string) {
+		_, info, err := snapshot.Read(bytes.NewReader(data), snapshot.ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, s := range info.Sections {
+			names = append(names, s.Name)
+		}
+		return info.FormatVersion, strings.Join(names, ",")
+	}
+	if v, names := sections(old); v != 2 || !strings.Contains(names, "ch_up_to") {
+		t.Fatalf("fixture is version %d with sections %s, want version 2 with CH sections", v, names)
+	}
+	if v, names := sections(fresh.Bytes()); v != snapshot.FormatVersion || strings.Contains(names, "ch_") {
+		t.Fatalf("fresh seal is version %d with sections %s, want version %d without CH sections", v, names, snapshot.FormatVersion)
+	}
+
+	a, err := Unseal(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("Unseal(version 2): %v", err)
+	}
+	b, err := Unseal(&fresh)
+	if err != nil {
+		t.Fatalf("Unseal(version %d): %v", snapshot.FormatVersion, err)
+	}
+	if a.IndexKind() != "hl" || b.IndexKind() != "hl" {
+		t.Fatalf("index kinds %q and %q, want hl", a.IndexKind(), b.IndexKind())
+	}
+	for s := 0; s < g.N(); s++ {
+		for u := 0; u < g.N(); u++ {
+			want, err := b.Oracle().Distance(s, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := a.Oracle().Distance(s, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Distance(%d,%d): version 2 answers %v, version %d answers %v", s, u, got, snapshot.FormatVersion, want)
+			}
+		}
+	}
+}
+
 // TestSealRejectsNonSealable: lookup-backed oracles have no flat-array
 // form and must be refused, not mis-serialized.
 func TestSealRejectsNonSealable(t *testing.T) {
@@ -294,6 +370,13 @@ func FuzzUnseal(f *testing.F) {
 		mut[i] = 0xFF
 	}
 	seeds = append(seeds, mut)
+	// A version-2 hub-label artifact, whose hierarchy sections the
+	// reader verifies and drops.
+	v2, err := os.ReadFile("testdata/ring-hl-v2.dpsnap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, v2)
 	for _, s := range seeds {
 		f.Add(s)
 	}

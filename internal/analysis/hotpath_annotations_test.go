@@ -27,8 +27,8 @@ var guardedFunctions = map[string][]string{
 		"Distance",
 	},
 	"internal/graph/index/hl.go": {
-		// guard #7: BenchmarkIndexDistance/hl + hl sweep delegation
-		"Distance", "DistancesFrom",
+		// guard #7: BenchmarkIndexDistance/hl
+		"Distance",
 	},
 	"internal/graph/index/phast.go": {
 		// guard #7: BenchmarkIndexOneToMany/phast

@@ -14,7 +14,8 @@ import (
 // repeating construction. Only the expensive, non-derivable state is
 // exported — the CH upward graph (the product of contraction), the HL
 // label arena (one pruned merge of the upward neighbours' labels per
-// vertex), and the ALT landmark distance rows (k full Dijkstras).
+// vertex; the hierarchy it was merged from is not part of an HL
+// index), and the ALT landmark distance rows (k full Dijkstras).
 // Everything cheaply derivable from the topology and released weights
 // (the simplified CSR, component labels, a sweep order for the upward
 // DAG) is recomputed at rehydration instead, which both shrinks
@@ -24,7 +25,7 @@ import (
 
 // FlatIndex is the flat-array form of a built index, the shape the
 // snapshot container stores. Kind selects which family the arrays
-// belong to; the unused family's fields are nil. The slices returned by
+// belong to; the other families' fields are nil. The slices returned by
 // Export alias the live index — callers must treat them as read-only.
 type FlatIndex struct {
 	// Kind is "ch", "alt", or "hl" (Index.Kind spellings).
@@ -32,8 +33,7 @@ type FlatIndex struct {
 
 	// Contraction hierarchy: the frozen upward CSR. UpOff has N+1
 	// entries; UpTo/UpWt hold one entry per upward edge (original or
-	// shortcut). Kind "hl" carries these too — the hierarchy backs the
-	// one-to-many sweep and is what the labels were generated from.
+	// shortcut).
 	UpOff []int32
 	UpTo  []int32
 	UpWt  []float64
@@ -58,11 +58,7 @@ func Export(idx Index) (*FlatIndex, error) {
 	case *chIndex:
 		return &FlatIndex{Kind: "ch", UpOff: c.upOff, UpTo: c.upTo, UpWt: c.upWt}, nil
 	case *hlIndex:
-		return &FlatIndex{
-			Kind:  "hl",
-			UpOff: c.ch.upOff, UpTo: c.ch.upTo, UpWt: c.ch.upWt,
-			LabOff: c.labOff, LabHub: c.labHub, LabDist: c.labDist,
-		}, nil
+		return &FlatIndex{Kind: "hl", LabOff: c.labOff, LabHub: c.labHub, LabDist: c.labDist}, nil
 	case *altIndex:
 		return &FlatIndex{Kind: "alt", Landmarks: c.k, LD: c.ld}, nil
 	}
@@ -150,13 +146,9 @@ func rehydrateCH(p *prepared, f *FlatIndex) (*chIndex, error) {
 	return c, nil
 }
 
-// rehydrateHL validates the label arena on top of the hierarchy checks
-// and rebuilds the merge-ready labeling.
+// rehydrateHL validates the label arena and rebuilds the merge-ready
+// labeling; any upward-CSR fields are ignored.
 func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
-	ch, err := rehydrateCH(p, f)
-	if err != nil {
-		return nil, err
-	}
 	n := p.n
 	if len(f.LabOff) != n+1 {
 		return nil, fmt.Errorf("index: HL label offsets have %d entries for %d vertices (want %d)", len(f.LabOff), n, n+1)
@@ -191,10 +183,7 @@ func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 			return nil, fmt.Errorf("index: HL label distance %d is %g; want finite nonnegative", i, x)
 		}
 	}
-	return &hlIndex{
-		n: n, comp: p.comp, ch: ch,
-		labOff: f.LabOff, labHub: f.LabHub, labDist: f.LabDist,
-	}, nil
+	return &hlIndex{n: n, comp: p.comp, labOff: f.LabOff, labHub: f.LabHub, labDist: f.LabDist}, nil
 }
 
 // rehydrateALT validates the landmark rows and rebuilds the A* index

@@ -112,9 +112,6 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		}
 		return &FlatIndex{
 			Kind:    f.Kind,
-			UpOff:   append([]int32(nil), f.UpOff...),
-			UpTo:    append([]int32(nil), f.UpTo...),
-			UpWt:    append([]float64(nil), f.UpWt...),
 			LabOff:  append([]int64(nil), f.LabOff...),
 			LabHub:  append([]int32(nil), f.LabHub...),
 			LabDist: append([]float64(nil), f.LabDist...),
@@ -128,6 +125,16 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		"target-oob":        func() *FlatIndex { f := chFlat(); f.UpTo[0] = int32(g.N()); return f },
 		"negative-ch-wt":    func() *FlatIndex { f := chFlat(); f.UpWt[0] = -2; return f },
 		"nan-ch-wt":         func() *FlatIndex { f := chFlat(); f.UpWt[0] = math.NaN(); return f },
+		"cyclic-up": func() *FlatIndex {
+			f := chFlat()
+			// Redirect vertex 0's first upward edge back at itself: a
+			// self-loop is the smallest cycle the sweep order must refuse.
+			if f.UpOff[1] == f.UpOff[0] {
+				t.Fatal("vertex 0 has no upward edge")
+			}
+			f.UpTo[f.UpOff[0]] = 0
+			return f
+		},
 		"too-many-landmarks": func() *FlatIndex {
 			f := altFlat()
 			f.Landmarks = maxLandmarks + 1
@@ -161,16 +168,6 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		"hl-negative-dist": func() *FlatIndex { f := hlFlat(); f.LabDist[0] = -1; return f },
 		"hl-nan-dist":      func() *FlatIndex { f := hlFlat(); f.LabDist[0] = math.NaN(); return f },
 		"hl-inf-dist":      func() *FlatIndex { f := hlFlat(); f.LabDist[0] = math.Inf(1); return f },
-		"hl-cyclic-up": func() *FlatIndex {
-			f := hlFlat()
-			// Redirect vertex 0's first upward edge back at itself: a
-			// self-loop is the smallest cycle the sweep order must refuse.
-			if f.UpOff[1] == f.UpOff[0] {
-				t.Fatal("vertex 0 has no upward edge")
-			}
-			f.UpTo[f.UpOff[0]] = 0
-			return f
-		},
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -32,11 +32,11 @@ import (
 // like the hierarchy they are computed from, they touch nothing private
 // and carry zero additional privacy cost.
 
-// hlIndex is the frozen, query-ready labeling. The label arena is three
-// parallel flat arrays: vertex v's label occupies
+// hlIndex is the frozen, query-ready labeling: component ids plus a
+// label arena of three parallel flat arrays, vertex v's label occupying
 // labHub/labDist[labOff[v]:labOff[v+1]], sorted by ascending hub id
-// (the merge order). The building hierarchy is retained for PHAST
-// one-to-all sweeps (DistancesFrom) and for export.
+// (the merge order). The hierarchy the labels were built from is not
+// kept: every query, point or batch, is a label merge.
 type hlIndex struct {
 	n    int
 	comp []int32
@@ -44,8 +44,6 @@ type hlIndex struct {
 	labOff  []int64
 	labHub  []int32
 	labDist []float64
-
-	ch *chIndex
 }
 
 func (x *hlIndex) N() int       { return x.n }
@@ -85,19 +83,6 @@ func (x *hlIndex) Distance(s, t int) float64 {
 	return best
 }
 
-// DistancesFrom answers a one-to-many batch with a single PHAST sweep
-// over the retained hierarchy (see phast.go).
-//
-//dpvet:hotpath
-func (x *hlIndex) DistancesFrom(s int, targets []int, out []float64) {
-	x.ch.DistancesFrom(s, targets, out)
-}
-
-// MinSweepTargets reports the per-source batch size above which one
-// sweep beats per-pair label merges. Merges are so cheap that the
-// O(n + m) sweep only wins on much larger fan-outs than it does for CH.
-func (x *hlIndex) MinSweepTargets() int { return 64 + x.n/64 }
-
 // hlWork is one label-generation worker's scratch: a dense tentative
 // distance per hub (+Inf when not a candidate of the current vertex)
 // and the candidate list that resets it.
@@ -117,7 +102,9 @@ type hlWork struct {
 // neighbours and of their hubs, all of strictly smaller depth, so every
 // read happens after the barrier that completed that level. A label
 // depends only on labels already built, never on which worker built
-// what, so the result is the same at any GOMAXPROCS.
+// what, so the result is the same at any GOMAXPROCS. The result shares
+// only the component ids with ch, so the hierarchy itself can be
+// collected once labelling ends.
 func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	n := ch.n
 
@@ -198,7 +185,7 @@ func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 		return nil, errLabelsTooBig
 	}
 
-	x := &hlIndex{n: n, comp: ch.comp, ch: ch, labOff: make([]int64, n+1)}
+	x := &hlIndex{n: n, comp: ch.comp, labOff: make([]int64, n+1)}
 	for v := 0; v < n; v++ {
 		x.labOff[v+1] = x.labOff[v] + int64(len(hubs[v]))
 	}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/graph"
 )
 
-// TestHLGridEquivalence sweeps HL point queries and the PHAST batch
-// against plain Dijkstra on the shared grid topology.
+// TestHLGridEquivalence checks HL point queries against plain Dijkstra
+// on the shared grid topology.
 func TestHLGridEquivalence(t *testing.T) {
 	g, w := exportGrid(12)
 	idx, err := Build(g, w, Options{Mode: HL})
@@ -32,22 +32,29 @@ func TestHLGridEquivalence(t *testing.T) {
 			t.Fatalf("Distance(%d,%d) = %v, want %v", s, u, got, want)
 		}
 	}
-	sweep := idx.(OneToAll)
-	targets := make([]int, g.N())
-	for v := range targets {
-		targets[v] = v
+}
+
+// TestHLStandsAlone: an HL index is its labels and component ids. It
+// offers no one-to-all sweep and exports no hierarchy, so a sealed HL
+// artifact carries only the label arena.
+func TestHLStandsAlone(t *testing.T) {
+	g, w := exportGrid(6)
+	idx, err := Build(g, w, Options{Mode: HL})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]float64, g.N())
-	s := rng.Intn(g.N())
-	sweep.DistancesFrom(s, targets, out)
-	for v := 0; v < g.N(); v++ {
-		want, err := graph.QueryDistance(g, w, s, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !distEqual(out[v], want) {
-			t.Fatalf("DistancesFrom(%d)[%d] = %v, want %v", s, v, out[v], want)
-		}
+	if _, ok := idx.(OneToAll); ok {
+		t.Fatal("HL index implements OneToAll")
+	}
+	f, err := Export(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.UpOff != nil || f.UpTo != nil || f.UpWt != nil {
+		t.Fatalf("HL export carries a hierarchy: %d/%d/%d upward entries", len(f.UpOff), len(f.UpTo), len(f.UpWt))
+	}
+	if len(f.LabOff) != g.N()+1 || len(f.LabHub) == 0 || len(f.LabHub) != len(f.LabDist) {
+		t.Fatalf("HL export label arena: %d offsets, %d hubs, %d distances", len(f.LabOff), len(f.LabHub), len(f.LabDist))
 	}
 }
 
@@ -194,8 +201,8 @@ func TestHLAutoTiering(t *testing.T) {
 	}
 }
 
-// TestHLDisconnected: cross-component queries and sweep entries are
-// +Inf, intra-component ones exact.
+// TestHLDisconnected: cross-component queries are +Inf, intra-component
+// ones exact.
 func TestHLDisconnected(t *testing.T) {
 	g := graph.New(6)
 	g.AddEdge(0, 1)
@@ -212,10 +219,8 @@ func TestHLDisconnected(t *testing.T) {
 	if d := idx.Distance(0, 3); !math.IsInf(d, 1) {
 		t.Fatalf("Distance(0,3) = %v, want +Inf", d)
 	}
-	out := make([]float64, 3)
-	idx.(OneToAll).DistancesFrom(0, []int{2, 3, 5}, out)
-	if out[0] != 3 || !math.IsInf(out[1], 1) || !math.IsInf(out[2], 1) {
-		t.Fatalf("DistancesFrom(0) = %v", out)
+	if d := idx.Distance(0, 5); !math.IsInf(d, 1) {
+		t.Fatalf("Distance(0,5) = %v, want +Inf", d)
 	}
 }
 

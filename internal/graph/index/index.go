@@ -14,15 +14,17 @@
 //   - HL: 2-hop hub labels computed from the CH contraction order. A
 //     point query is one linear merge of two sorted label arrays —
 //     another order of magnitude under the CH search — at the cost of
-//     label storage and build time on top of the hierarchy.
+//     label storage and build time on top of the hierarchy, which is
+//     dropped once the labels exist.
 //   - ALT: landmark-based A* (triangle-inequality lower bounds from a
 //     small set of farthest-point landmarks). Slower than CH but immune
 //     to contraction degeneracy on dense or highly non-hierarchical
 //     graphs.
 //
-// CH and HL additionally implement OneToAll: a PHAST-style one-to-many
-// sweep that answers a repeated-source batch with a single upward
-// search plus one linear downward scan.
+// CH additionally implements OneToAll: a PHAST-style one-to-many sweep
+// that answers a repeated-source batch with a single upward search plus
+// one linear downward scan. HL keeps only its labels, so it answers
+// batches pair by pair, one label merge each.
 //
 // Build(Auto) tries CH first, falls back to ALT when contraction
 // degenerates (shortcut growth past a guard factor), and upgrades the

@@ -120,10 +120,10 @@ func (c *chIndex) initSweep() {
 // topoOrder derives a sweep order for a rehydrated hierarchy, where the
 // contraction ranks are gone: any topological order of the upward DAG
 // that places every edge's target before its source is
-// descending-rank-compatible, which is all the downward scan (and label
-// generation) needs. Returns false when the claimed upward graph is
-// cyclic — flat arrays carrying a cycle were never produced by a
-// contraction and would make the sweep silently wrong.
+// descending-rank-compatible, which is all the downward scan needs.
+// Returns false when the claimed upward graph is cyclic — flat arrays
+// carrying a cycle were never produced by a contraction and would make
+// the sweep silently wrong.
 func topoOrder(n int, upOff, upTo []int32) ([]int32, bool) {
 	// pending[v] counts v's upward edges whose targets are not yet
 	// placed; rev is the CSR of reversed upward edges.

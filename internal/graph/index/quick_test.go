@@ -51,9 +51,9 @@ func TestQuickIndexedEqualsDijkstra(t *testing.T) {
 	}
 }
 
-// TestQuickOneToAllEqualsDijkstra: the PHAST sweep (on both the CH and
-// HL indexes) matches per-vertex Dijkstra for every target at once,
-// including unreachable ones, on arbitrary random multigraphs.
+// TestQuickOneToAllEqualsDijkstra: the PHAST sweep over a CH index
+// matches per-vertex Dijkstra for every target at once, including
+// unreachable ones, on arbitrary random multigraphs.
 func TestQuickOneToAllEqualsDijkstra(t *testing.T) {
 	f := func(seed int64, a uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -68,25 +68,23 @@ func TestQuickOneToAllEqualsDijkstra(t *testing.T) {
 			targets[v] = v
 		}
 		out := make([]float64, n)
-		for _, m := range []Mode{CH, HL} {
-			idx, err := Build(g, w, Options{Mode: m})
+		idx, err := Build(g, w, Options{Mode: CH})
+		if err != nil {
+			return false
+		}
+		sweep, ok := idx.(OneToAll)
+		if !ok {
+			return false
+		}
+		s := rng.Intn(n)
+		sweep.DistancesFrom(s, targets, out)
+		for v := 0; v < n; v++ {
+			want, err := graph.QueryDistance(g, w, s, v)
 			if err != nil {
 				return false
 			}
-			sweep, ok := idx.(OneToAll)
-			if !ok {
+			if !distEqual(out[v], want) {
 				return false
-			}
-			s := rng.Intn(n)
-			sweep.DistancesFrom(s, targets, out)
-			for v := 0; v < n; v++ {
-				want, err := graph.QueryDistance(g, w, s, v)
-				if err != nil {
-					return false
-				}
-				if !distEqual(out[v], want) {
-					return false
-				}
 			}
 		}
 		return true

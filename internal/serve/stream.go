@@ -11,8 +11,11 @@ import (
 )
 
 // streamBatchMax bounds how many pending stream queries are answered in
-// one oracle batch: large enough that a PHAST sweep amortizes, small
-// enough that the first answers of a long stream arrive promptly.
+// one oracle batch: large enough to amortize the per-batch write and
+// flush, small enough that the first answers of a long stream arrive
+// promptly. On a CH release a source with enough distinct targets in
+// one batch is answered by a single sweep; hub labels answer every
+// pair with one label merge whatever the batch size.
 const streamBatchMax = 512
 
 // streamLineMax bounds one NDJSON input line; a pair of ints never
@@ -23,10 +26,10 @@ const streamLineMax = 64 << 10
 // "s t" lines and receives one compact PairAnswer JSON line per query,
 // in order, without per-query HTTP round trips. Queries are answered in
 // mini-batches — everything buffered when the reader would block, up to
-// streamBatchMax — so a pipelining client gets sweep-amortized batch
-// throughput with single-stream latency. One admission slot covers the
-// whole stream. A malformed line terminates the stream with one
-// {"error":...} line after the answers already written.
+// streamBatchMax — so a pipelining client gets batch throughput with
+// single-stream latency. One admission slot covers the whole stream. A
+// malformed line terminates the stream with one {"error":...} line
+// after the answers already written.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	rel, ok := s.resolve(w, r)
 	if !ok {

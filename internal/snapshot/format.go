@@ -51,10 +51,13 @@ const (
 	magic = "DPGSNAP\x01"
 
 	// FormatVersion is the container version this package writes by
-	// default. Version 2 added the hub-label sections; the reader still
-	// accepts every version down to MinFormatVersion, so version-1
-	// artifacts (CH/ALT/no index) keep unsealing unchanged.
-	FormatVersion = 2
+	// default. Version 2 added the hub-label sections; version 3 seals
+	// an "hl" index as its labels alone, without the hierarchy they were
+	// built from. The reader still accepts every version down to
+	// MinFormatVersion: version-1 artifacts (CH/ALT/no index) unseal
+	// unchanged, and a version-2 "hl" artifact's CH sections are
+	// digest-verified, then dropped.
+	FormatVersion = 3
 
 	// MinFormatVersion is the oldest container version Read accepts.
 	MinFormatVersion = 1
@@ -88,9 +91,7 @@ const (
 	sectionCHUpWt       = 7 // float64 per upward edge: CH weight
 	sectionALTLandmarks = 8 // float64 x (landmarks*N): ALT distance rows
 
-	// Hub-label sections (format version 2+). An "hl" artifact carries
-	// the CH sections too — the hierarchy backs the one-to-many sweep
-	// and is what the labels were generated from.
+	// Hub-label sections (format version 2+).
 	sectionHLLabOff  = 9  // int64 x (N+1): label arena offsets
 	sectionHLLabHub  = 10 // int32 per label entry: hub vertex
 	sectionHLLabDist = 11 // float64 per label entry: hub distance
@@ -185,7 +186,8 @@ type Meta struct {
 
 	// Index is the embedded query index kind: "" (none), "ch", "alt",
 	// or "hl" (format version 2+). It dictates which index sections
-	// must be present.
+	// must be present: CH for "ch", ALT for "alt", the label arena for
+	// "hl".
 	Index string `json:"index,omitempty"`
 	// Landmarks is the ALT row count (0 unless Index == "alt").
 	Landmarks int `json:"landmarks,omitempty"`
@@ -219,7 +221,7 @@ type Artifact struct {
 	ALTLandmarks []float64
 
 	// HLLabOff/HLLabHub/HLLabDist are the hub-label arena (present iff
-	// Meta.Index == "hl", alongside the CH arrays): vertex v's label is
+	// Meta.Index == "hl"): vertex v's label is
 	// HLLabHub/HLLabDist[HLLabOff[v]:HLLabOff[v+1]], hubs ascending.
 	HLLabOff  []int64
 	HLLabHub  []int32

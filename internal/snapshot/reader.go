@@ -167,6 +167,12 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 	if err := checkSections(art, table); err != nil {
 		return nil, nil, err
 	}
+	if art.Meta.Index == "hl" {
+		// A version-2 "hl" artifact also carries the hierarchy its
+		// labels were built from; its digests verified above, and
+		// nothing serves from it.
+		art.CHUpOff, art.CHUpTo, art.CHUpWt = nil, nil, nil
+	}
 
 	// Manifest: the signed restatement of the table. Byte-for-byte
 	// agreement with what was already parsed means the signature below
@@ -249,36 +255,23 @@ func checkMeta(m *Meta, version uint32) error {
 		return invalidf("meta edge count %d outside [0, 2^32)", m.M)
 	}
 	switch m.Index {
-	case "":
-		if m.Landmarks != 0 {
-			return invalidf("meta declares %d landmarks without an ALT index", m.Landmarks)
-		}
-	case "ch":
-		if m.Directed {
-			return invalidf("meta declares a CH index on a directed topology")
-		}
-		if m.Landmarks != 0 {
-			return invalidf("meta declares %d landmarks alongside a CH index", m.Landmarks)
-		}
+	case "", "ch":
 	case "hl":
 		if version < 2 {
 			return invalidf("meta declares an HL index in a version-%d container (hub labels need version 2)", version)
 		}
-		if m.Directed {
-			return invalidf("meta declares an HL index on a directed topology")
-		}
-		if m.Landmarks != 0 {
-			return invalidf("meta declares %d landmarks alongside an HL index", m.Landmarks)
-		}
 	case "alt":
-		if m.Directed {
-			return invalidf("meta declares an ALT index on a directed topology")
-		}
 		if m.Landmarks < 1 || m.Landmarks > 1<<15 {
 			return invalidf("meta landmark count %d outside [1, %d]", m.Landmarks, 1<<15)
 		}
 	default:
 		return invalidf("meta declares unknown index kind %q", m.Index)
+	}
+	if m.Index != "" && m.Directed {
+		return invalidf("meta declares a %s index on a directed topology", m.Index)
+	}
+	if m.Index != "alt" && m.Landmarks != 0 {
+		return invalidf("meta declares %d landmarks without an ALT index", m.Landmarks)
 	}
 	if m.NoiseScale < 0 || math.IsNaN(m.NoiseScale) || math.IsInf(m.NoiseScale, 0) {
 		return invalidf("meta noise scale %g is not a finite nonnegative number", m.NoiseScale)
@@ -290,6 +283,13 @@ func checkMeta(m *Meta, version uint32) error {
 		return invalidf("meta carries no receipt")
 	}
 	return nil
+}
+
+// carriesCH reports whether meta's index comes with the CH sections:
+// a "ch" index, or an "hl" index sealed at format version 2, which
+// also stored the hierarchy its labels were built from.
+func carriesCH(m *Meta) bool {
+	return m.Index == "ch" || (m.Index == "hl" && m.FormatVersion == 2)
 }
 
 // expectedLength returns the exact byte length meta requires of a
@@ -305,9 +305,9 @@ func expectedLength(m *Meta, kind uint32, art *Artifact) (length uint64, ok bool
 	case sectionWeights:
 		return 8 * uint64(m.M), true
 	case sectionCHUpOff:
-		return 4 * (uint64(m.N) + 1), m.Index == "ch" || m.Index == "hl"
+		return 4 * (uint64(m.N) + 1), carriesCH(m)
 	case sectionCHUpTo, sectionCHUpWt:
-		if (m.Index != "ch" && m.Index != "hl") || len(art.CHUpOff) != m.N+1 {
+		if !carriesCH(m) || len(art.CHUpOff) != m.N+1 {
 			return 0, false
 		}
 		last := art.CHUpOff[m.N]
@@ -384,12 +384,12 @@ func checkSections(art *Artifact, table []SectionInfo) error {
 		have[s.Kind] = true
 	}
 	required := []uint32{sectionMeta, sectionEdgeFrom, sectionEdgeTo, sectionWeights}
-	switch art.Meta.Index {
-	case "ch":
+	if carriesCH(&art.Meta) {
 		required = append(required, sectionCHUpOff, sectionCHUpTo, sectionCHUpWt)
+	}
+	switch art.Meta.Index {
 	case "hl":
-		required = append(required, sectionCHUpOff, sectionCHUpTo, sectionCHUpWt,
-			sectionHLLabOff, sectionHLLabHub, sectionHLLabDist)
+		required = append(required, sectionHLLabOff, sectionHLLabHub, sectionHLLabDist)
 	case "alt":
 		required = append(required, sectionALTLandmarks)
 	}

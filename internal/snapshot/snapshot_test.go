@@ -39,9 +39,6 @@ func testArtifact(index string) *Artifact {
 		art.Meta.Landmarks = 2
 		art.ALTLandmarks = []float64{0, 1, 3.5, 0, 1, 0, 2.5, 1}
 	case "hl":
-		art.CHUpOff = []int32{0, 2, 3, 4, 4}
-		art.CHUpTo = []int32{1, 3, 2, 3}
-		art.CHUpWt = []float64{1, 0, 2.5, 3}
 		art.HLLabOff = []int64{0, 2, 3, 4, 5}
 		art.HLLabHub = []int32{1, 3, 2, 3, 3}
 		art.HLLabDist = []float64{0, 1, 0, 0, 0}
@@ -289,12 +286,104 @@ func TestFormatVersion1RejectsHubLabels(t *testing.T) {
 	}
 }
 
+// rawContainer seals art's meta, edge and weight sections followed by
+// extra, at art's declared format version, without Write's checks on
+// which index sections belong together: it builds containers the
+// current writer refuses to emit.
+func rawContainer(t *testing.T, art *Artifact, extra ...section) []byte {
+	t.Helper()
+	metaJSON, err := json.Marshal(&art.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := append([]section{
+		{kind: sectionMeta, length: uint64(len(metaJSON)), encode: encodeBytes(metaJSON)},
+		{kind: sectionEdgeFrom, length: 4 * uint64(len(art.EdgeFrom)), encode: encodeU32(art.EdgeFrom)},
+		{kind: sectionEdgeTo, length: 4 * uint64(len(art.EdgeTo)), encode: encodeU32(art.EdgeTo)},
+		{kind: sectionWeights, length: 8 * uint64(len(art.Weights)), encode: encodeF64(art.Weights)},
+	}, extra...)
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, uint32(art.Meta.FormatVersion), art.Meta.Writer, secs, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHubLabelsStandAlone: from version 3 an "hl" artifact is meta,
+// edges, weights and the label arena, nothing else. The reader refuses
+// a version-3 "hl" artifact that carries any CH section, and the
+// writer refuses to seal "hl" at version 2, where the hierarchy rode
+// along.
+func TestHubLabelsStandAlone(t *testing.T) {
+	want := testArtifact("hl")
+	_, info, err := Read(bytes.NewReader(seal(t, want, WriteOptions{})), ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, ","); got != "meta,edge_from,edge_to,weights,hl_lab_off,hl_lab_hub,hl_lab_dist" {
+		t.Fatalf("version-%d hl sections = %s", info.FormatVersion, got)
+	}
+
+	ch := chSections(testArtifact("ch"))
+	for i := range ch {
+		data := rawContainer(t, want, append([]section{ch[i]}, hlSections(want)...)...)
+		art, _, err := Read(bytes.NewReader(data), ReadOptions{})
+		if !errors.Is(err, ErrInvalid) || art != nil {
+			t.Fatalf("version-3 hl artifact with a %s section: art=%v err=%v", sectionName(ch[i].kind), art != nil, err)
+		}
+	}
+	data := rawContainer(t, want, append(ch, hlSections(want)...)...)
+	if _, _, err := Read(bytes.NewReader(data), ReadOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("version-3 hl artifact with all CH sections: err = %v, want ErrInvalid", err)
+	}
+
+	old := testArtifact("hl")
+	old.Meta.FormatVersion = 2
+	if err := Write(io.Discard, old, WriteOptions{FormatVersion: 2}); err == nil {
+		t.Fatal("Write sealed hub labels into a version-2 container")
+	}
+}
+
+// TestFormatVersion2HubLabelsRead: a version-2 "hl" artifact carries
+// the CH sections its labels were built from. It still reads: the CH
+// sections must be present and digest-clean, and are then dropped, so
+// the artifact comes back as its labels alone.
+func TestFormatVersion2HubLabelsRead(t *testing.T) {
+	want := testArtifact("hl")
+	want.Meta.FormatVersion = 2
+	ch := chSections(testArtifact("ch"))
+	data := rawContainer(t, want, append(ch, hlSections(want)...)...)
+	got, info, err := Read(bytes.NewReader(data), ReadOptions{})
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if info.FormatVersion != 2 || len(info.Sections) != 10 {
+		t.Fatalf("info reports version %d with %d sections, want 2 with 10", info.FormatVersion, len(info.Sections))
+	}
+	checkEqualArtifacts(t, want, got)
+
+	// The hierarchy is verified, not skipped: without it, or with a
+	// corrupted byte in it, the artifact is rejected.
+	if _, _, err := Read(bytes.NewReader(rawContainer(t, want, hlSections(want)...)), ReadOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("version-2 hl artifact without CH sections: err = %v, want ErrInvalid", err)
+	}
+	mut := append([]byte(nil), data...)
+	mut[info.Sections[5].Offset] ^= 1 // first byte of ch_up_to
+	if _, _, err := Read(bytes.NewReader(mut), ReadOptions{}); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("corrupted ch_up_to in a version-2 hl artifact: err = %v, want ErrDigestMismatch", err)
+	}
+}
+
 // TestWriteRejectsVersionSkew: the meta document restates the container
 // version inside the signed payload chain, so the two must agree.
 func TestWriteRejectsVersionSkew(t *testing.T) {
 	art := testArtifact("")
 	if err := Write(io.Discard, art, WriteOptions{FormatVersion: 1}); err == nil {
-		t.Fatal("Write accepted meta version 2 in a version-1 container")
+		t.Fatalf("Write accepted meta version %d in a version-1 container", art.Meta.FormatVersion)
 	}
 	if err := Write(io.Discard, art, WriteOptions{FormatVersion: 7}); err == nil {
 		t.Fatal("Write accepted an unsupported container version")
@@ -342,11 +431,11 @@ func TestWriterRejectsInconsistentArtifact(t *testing.T) {
 		})
 	}
 	hlCases := map[string]func(*Artifact){
-		"hl-short-lab-off":     func(a *Artifact) { a.HLLabOff = a.HLLabOff[:3] },
-		"hl-arena-mismatch":    func(a *Artifact) { a.HLLabDist = a.HLLabDist[:len(a.HLLabDist)-1] },
-		"hl-off-past-arena":    func(a *Artifact) { a.HLLabOff[len(a.HLLabOff)-1]++ },
-		"hl-alt-rows":          func(a *Artifact) { a.ALTLandmarks = []float64{1} },
-		"hl-missing-ch-arrays": func(a *Artifact) { a.CHUpOff = nil },
+		"hl-short-lab-off":  func(a *Artifact) { a.HLLabOff = a.HLLabOff[:3] },
+		"hl-arena-mismatch": func(a *Artifact) { a.HLLabDist = a.HLLabDist[:len(a.HLLabDist)-1] },
+		"hl-off-past-arena": func(a *Artifact) { a.HLLabOff[len(a.HLLabOff)-1]++ },
+		"hl-alt-rows":       func(a *Artifact) { a.ALTLandmarks = []float64{1} },
+		"hl-ch-arrays":      func(a *Artifact) { a.CHUpOff = []int32{0, 0, 0, 0, 0} },
 	}
 	for name, mutate := range hlCases {
 		t.Run(name, func(t *testing.T) {

@@ -23,7 +23,7 @@ type WriteOptions struct {
 	// current FormatVersion. Older versions exist for compatibility
 	// testing and for consumers pinned to old readers — an artifact
 	// whose index kind the requested version cannot express (hub labels
-	// before version 2) is an error.
+	// without their hierarchy before version 3) is an error.
 	FormatVersion uint32
 }
 
@@ -47,8 +47,8 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 	if version < MinFormatVersion || version > FormatVersion {
 		return fmt.Errorf("snapshot: cannot write format version %d (supported: %d..%d)", version, MinFormatVersion, FormatVersion)
 	}
-	if version < 2 && art.Meta.Index == "hl" {
-		return fmt.Errorf("snapshot: format version %d cannot carry hub labels (need >= 2)", version)
+	if version < 3 && art.Meta.Index == "hl" {
+		return fmt.Errorf("snapshot: format version %d cannot carry hub labels on their own (need >= 3)", version)
 	}
 	if art.Meta.FormatVersion != int(version) {
 		return fmt.Errorf("snapshot: meta declares format version %d, writing %d", art.Meta.FormatVersion, version)
@@ -72,26 +72,39 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 	}
 	switch art.Meta.Index {
 	case "ch":
-		secs = append(secs,
-			section{kind: sectionCHUpOff, length: 4 * uint64(len(art.CHUpOff)), encode: encodeI32(art.CHUpOff)},
-			section{kind: sectionCHUpTo, length: 4 * uint64(len(art.CHUpTo)), encode: encodeI32(art.CHUpTo)},
-			section{kind: sectionCHUpWt, length: 8 * uint64(len(art.CHUpWt)), encode: encodeF64(art.CHUpWt)},
-		)
+		secs = append(secs, chSections(art)...)
 	case "alt":
 		secs = append(secs,
 			section{kind: sectionALTLandmarks, length: 8 * uint64(len(art.ALTLandmarks)), encode: encodeF64(art.ALTLandmarks)},
 		)
 	case "hl":
-		secs = append(secs,
-			section{kind: sectionCHUpOff, length: 4 * uint64(len(art.CHUpOff)), encode: encodeI32(art.CHUpOff)},
-			section{kind: sectionCHUpTo, length: 4 * uint64(len(art.CHUpTo)), encode: encodeI32(art.CHUpTo)},
-			section{kind: sectionCHUpWt, length: 8 * uint64(len(art.CHUpWt)), encode: encodeF64(art.CHUpWt)},
-			section{kind: sectionHLLabOff, length: 8 * uint64(len(art.HLLabOff)), encode: encodeI64(art.HLLabOff)},
-			section{kind: sectionHLLabHub, length: 4 * uint64(len(art.HLLabHub)), encode: encodeI32(art.HLLabHub)},
-			section{kind: sectionHLLabDist, length: 8 * uint64(len(art.HLLabDist)), encode: encodeF64(art.HLLabDist)},
-		)
+		secs = append(secs, hlSections(art)...)
 	}
+	return writeContainer(w, version, art.Meta.Writer, secs, opts.SigningKey)
+}
 
+// chSections are the three sections of the CH upward CSR.
+func chSections(art *Artifact) []section {
+	return []section{
+		{kind: sectionCHUpOff, length: 4 * uint64(len(art.CHUpOff)), encode: encodeI32(art.CHUpOff)},
+		{kind: sectionCHUpTo, length: 4 * uint64(len(art.CHUpTo)), encode: encodeI32(art.CHUpTo)},
+		{kind: sectionCHUpWt, length: 8 * uint64(len(art.CHUpWt)), encode: encodeF64(art.CHUpWt)},
+	}
+}
+
+// hlSections are the three sections of the hub-label arena.
+func hlSections(art *Artifact) []section {
+	return []section{
+		{kind: sectionHLLabOff, length: 8 * uint64(len(art.HLLabOff)), encode: encodeI64(art.HLLabOff)},
+		{kind: sectionHLLabHub, length: 4 * uint64(len(art.HLLabHub)), encode: encodeI32(art.HLLabHub)},
+		{kind: sectionHLLabDist, length: 8 * uint64(len(art.HLLabDist)), encode: encodeF64(art.HLLabDist)},
+	}
+}
+
+// writeContainer lays out secs (meta first, kinds strictly increasing),
+// digests them, builds and optionally signs the manifest, and streams
+// the container to w.
+func writeContainer(w io.Writer, version uint32, writer string, secs []section, key ed25519.PrivateKey) error {
 	// Fix the layout: sections start 64-byte-aligned after the table,
 	// the manifest follows the last section's padding, the signature
 	// follows the manifest.
@@ -112,7 +125,7 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 		h.Sum(secs[i].digest[:0])
 	}
 
-	man := manifest{FormatVersion: version, Writer: art.Meta.Writer}
+	man := manifest{FormatVersion: version, Writer: writer}
 	for _, s := range secs {
 		man.Sections = append(man.Sections, SectionInfo{
 			Kind:   s.kind,
@@ -130,11 +143,11 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 		return fmt.Errorf("snapshot: manifest is %d bytes, exceeding the %d-byte cap", len(manifestJSON), maxManifestLen)
 	}
 	var sig []byte
-	if opts.SigningKey != nil {
-		if len(opts.SigningKey) != ed25519.PrivateKeySize {
-			return fmt.Errorf("snapshot: signing key has %d bytes, want %d", len(opts.SigningKey), ed25519.PrivateKeySize)
+	if key != nil {
+		if len(key) != ed25519.PrivateKeySize {
+			return fmt.Errorf("snapshot: signing key has %d bytes, want %d", len(key), ed25519.PrivateKeySize)
 		}
-		sig = ed25519.Sign(opts.SigningKey, manifestJSON)
+		sig = ed25519.Sign(key, manifestJSON)
 	}
 	sigOff := manifestOff + uint64(len(manifestJSON))
 
@@ -217,38 +230,28 @@ func validateArtifact(art *Artifact) error {
 			return fmt.Errorf("snapshot: released weight %d is %g; sealed weights are clamped nonnegative", i, w)
 		}
 	}
-	hlLen := len(art.HLLabOff) + len(art.HLLabHub) + len(art.HLLabDist)
+	if m.Index != "ch" && len(art.CHUpOff)+len(art.CHUpTo)+len(art.CHUpWt) != 0 {
+		return fmt.Errorf("snapshot: CH arrays present without a CH index")
+	}
+	if m.Index != "hl" && len(art.HLLabOff)+len(art.HLLabHub)+len(art.HLLabDist) != 0 {
+		return fmt.Errorf("snapshot: hub-label arrays present without an HL index")
+	}
+	if m.Index != "alt" && (len(art.ALTLandmarks) != 0 || m.Landmarks != 0) {
+		return fmt.Errorf("snapshot: ALT rows or landmark count without an ALT index")
+	}
+	if m.Index != "" && m.Directed {
+		return fmt.Errorf("snapshot: %s index on a directed topology", m.Index)
+	}
 	switch m.Index {
 	case "":
-		if len(art.CHUpOff) != 0 || len(art.CHUpTo) != 0 || len(art.CHUpWt) != 0 || len(art.ALTLandmarks) != 0 || hlLen != 0 {
-			return fmt.Errorf("snapshot: index arrays present without a declared index kind")
-		}
 	case "ch":
-		if m.Directed {
-			return fmt.Errorf("snapshot: CH index on a directed topology")
-		}
 		if len(art.CHUpOff) != m.N+1 {
 			return fmt.Errorf("snapshot: CH offsets have %d entries for %d vertices (want %d)", len(art.CHUpOff), m.N, m.N+1)
 		}
 		if len(art.CHUpTo) != len(art.CHUpWt) {
 			return fmt.Errorf("snapshot: CH upward arrays disagree: %d targets, %d weights", len(art.CHUpTo), len(art.CHUpWt))
-		}
-		if len(art.ALTLandmarks) != 0 {
-			return fmt.Errorf("snapshot: ALT rows present alongside a CH index")
-		}
-		if hlLen != 0 {
-			return fmt.Errorf("snapshot: hub-label arrays present alongside a plain CH index")
 		}
 	case "hl":
-		if m.Directed {
-			return fmt.Errorf("snapshot: HL index on a directed topology")
-		}
-		if len(art.CHUpOff) != m.N+1 {
-			return fmt.Errorf("snapshot: CH offsets have %d entries for %d vertices (want %d)", len(art.CHUpOff), m.N, m.N+1)
-		}
-		if len(art.CHUpTo) != len(art.CHUpWt) {
-			return fmt.Errorf("snapshot: CH upward arrays disagree: %d targets, %d weights", len(art.CHUpTo), len(art.CHUpWt))
-		}
 		if len(art.HLLabOff) != m.N+1 {
 			return fmt.Errorf("snapshot: HL label offsets have %d entries for %d vertices (want %d)", len(art.HLLabOff), m.N, m.N+1)
 		}
@@ -258,27 +261,15 @@ func validateArtifact(art *Artifact) error {
 		if last := art.HLLabOff[m.N]; last < 0 || last != int64(len(art.HLLabHub)) {
 			return fmt.Errorf("snapshot: HL label offsets end at %d for %d arena entries", last, len(art.HLLabHub))
 		}
-		if len(art.ALTLandmarks) != 0 {
-			return fmt.Errorf("snapshot: ALT rows present alongside an HL index")
-		}
 	case "alt":
-		if m.Directed {
-			return fmt.Errorf("snapshot: ALT index on a directed topology")
-		}
 		if m.Landmarks < 0 || m.Landmarks > 1<<15 {
 			return fmt.Errorf("snapshot: landmark count %d outside [0, %d]", m.Landmarks, 1<<15)
 		}
 		if len(art.ALTLandmarks) != m.Landmarks*m.N {
 			return fmt.Errorf("snapshot: ALT rows have %d entries for %d landmarks x %d vertices", len(art.ALTLandmarks), m.Landmarks, m.N)
 		}
-		if len(art.CHUpOff) != 0 || len(art.CHUpTo) != 0 || len(art.CHUpWt) != 0 || hlLen != 0 {
-			return fmt.Errorf("snapshot: CH or HL arrays present alongside an ALT index")
-		}
 	default:
 		return fmt.Errorf("snapshot: unknown index kind %q", m.Index)
-	}
-	if m.Index != "alt" && m.Landmarks != 0 {
-		return fmt.Errorf("snapshot: landmark count %d without an ALT index", m.Landmarks)
 	}
 	if len(m.Receipt) == 0 {
 		return fmt.Errorf("snapshot: artifact carries no receipt")

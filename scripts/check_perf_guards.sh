@@ -17,8 +17,9 @@
 #    may not swallow the release-once/query-many win.
 # 6. Snapshot restore: unsealing a sealed artifact of a >= 100k-edge
 #    indexed release (decode + index rehydration, zero budget) must
-#    reach its first answered query >= 50x faster than re-materializing
-#    the release and rebuilding its contraction hierarchy.
+#    reach its first answered query in <= 3x the time of one full
+#    Dijkstra over the same grid, which is 50x under re-materializing
+#    the release as contraction stood before it got ~2x faster.
 # 7. Hub labeling + PHAST: on the same >= 100k-edge grid, a hub-label
 #    point query must beat the CH bidirectional search >= 5x, a PHAST
 #    one-to-all sweep must beat per-pair CH queries >= 3x on a
@@ -104,26 +105,34 @@ else
     fi
 fi
 
-# --- 6: snapshot restore speedup ---------------------------------------
-# The same 100,800-edge CH-indexed release, restored two ways: full
-# re-materialization versus unsealing a snapshot artifact. Both end
-# with one answered query. -count=2 with best-of ratios de-flakes the
-# gate; measured ~95x against the 50x bound.
-out=$(go test -bench '^BenchmarkSnapshotRestore$' -benchtime=3x -count=2 -run '^$' .)
+# --- 6: snapshot restore ----------------------------------------------
+# The 100,800-edge CH-indexed release unsealed (BenchmarkSnapshotRestore/
+# unseal) against one full single-source Dijkstra over the same grid
+# (BenchmarkFullDijkstra): the yardstick shares the host's speed but none
+# of the index's code, so a faster contraction cannot tighten the gate,
+# as it did while the gate compared against re-materialization. The 3x
+# bound is the old 50x-under-re-materialization bound in yardstick units,
+# calibrated before contraction got faster: two runs there read best
+# rematerialize 3.59 s and 3.56 s against best full Dijkstra 20.7 ms and
+# 22.9 ms, i.e. 3.47x and 3.11x, rounded down to 3. Best of -count=3 for
+# the unseal, -count=2 for the yardstick.
+out=$(go test -bench '^BenchmarkSnapshotRestore$/^unseal$' -benchtime=10x -count=3 -run '^$' .)
 echo "$out"
-remat=$(echo "$out" | awk '$1 ~ /^BenchmarkSnapshotRestore\/rematerialize(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
 unseal=$(echo "$out" | awk '$1 ~ /^BenchmarkSnapshotRestore\/unseal(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
-if [ -z "$remat" ] || [ -z "$unseal" ]; then
-    echo "FAIL: could not parse BenchmarkSnapshotRestore output" >&2
+out=$(go test -bench '^BenchmarkFullDijkstra$' -benchtime=20x -count=2 -run '^$' ./internal/graph/index)
+echo "$out"
+dijkstra=$(echo "$out" | awk '$1 ~ /^BenchmarkFullDijkstra(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
+if [ -z "$unseal" ] || [ -z "$dijkstra" ]; then
+    echo "FAIL: could not parse the BenchmarkSnapshotRestore/unseal and BenchmarkFullDijkstra output" >&2
     fail=1
 else
-    speedup=$(awk -v r="$remat" -v u="$unseal" 'BEGIN {printf "%.1f", r / u}')
-    echo "snapshot restore speedup over re-materialization: ${speedup}x"
-    if awk -v x="$speedup" 'BEGIN {exit !(x < 50)}'; then
-        echo "FAIL: snapshot restore ${speedup}x < 50x over re-materialization" >&2
+    ratio=$(awk -v u="$unseal" -v d="$dijkstra" 'BEGIN {printf "%.2f", u / d}')
+    echo "snapshot restore time over one full Dijkstra: ${ratio}x"
+    if awk -v x="$ratio" 'BEGIN {exit !(x > 3)}'; then
+        echo "FAIL: snapshot restore takes ${ratio}x one full Dijkstra, want <= 3x" >&2
         fail=1
     else
-        echo "OK: snapshot restore >= 50x faster than re-materialization"
+        echo "OK: snapshot restore <= 3x one full Dijkstra"
     fi
 fi
 
