@@ -8,7 +8,7 @@ import (
 // TestOracleDistancesInto checks the allocation-free batch entry point:
 // every oracle implements BatchOracle, DistancesInto matches Distances
 // answer for answer (including repeated sources and duplicate targets,
-// which exercise the sweep/dedup path), and the error contract covers
+// which exercise the unindexed run/dedup path), and the error contract covers
 // mismatched buffers and invalid pairs.
 func TestOracleDistancesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -27,7 +27,7 @@ func TestOracleDistancesInto(t *testing.T) {
 			for i := 0; i < 96; i++ {
 				s := rng.Intn(n)
 				if i%3 != 0 && len(pairs) > 0 {
-					s = pairs[len(pairs)-1].S // repeated sources hit the run/sweep path
+					s = pairs[len(pairs)-1].S // repeated sources hit the run/dedup path
 				}
 				pairs = append(pairs, VertexPair{S: s, T: rng.Intn(n)})
 			}

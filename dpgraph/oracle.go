@@ -38,8 +38,8 @@ type DistanceOracle interface {
 	// +Inf marks pairs the public topology disconnects.
 	Distance(s, t int) (float64, error)
 	// Distances answers a batch of queries, out[i] answering pairs[i].
-	// Oracles that search (synthetic graphs) group the batch by source so
-	// shared work is paid once.
+	// Oracles that search (unindexed synthetic graphs) group the batch
+	// by source so shared work is paid once.
 	Distances(pairs []VertexPair) ([]float64, error)
 	// Bound returns an additive error bound on any single answered
 	// distance, holding except with probability gamma.
@@ -188,7 +188,7 @@ func (ps *pairSorter) Less(i, j int) bool {
 	return pa.T < pb.T
 }
 
-// batchScratch is the reusable workspace of one synthetic-oracle batch:
+// batchScratch is the reusable workspace of one unindexed batch:
 // the (source, target) permutation, the per-run deduplicated target
 // list, and the per-run result buffer. Pooled so steady-state batches
 // allocate nothing.
@@ -209,15 +209,11 @@ func (o *syntheticOracle) Distances(pairs []VertexPair) ([]float64, error) {
 	return out, nil
 }
 
-// DistancesInto answers a batch with shared work paid once: the batch is
-// ordered by (source, target) so each distinct source's deduplicated
-// targets are answered together. Unindexed, a source-run costs one
-// early-exit multi-target Dijkstra. Indexed, small runs go through the
-// per-pair index plus the result cache; once a run's distinct-target
-// count reaches the index's own break-even (OneToAll.MinSweepTargets),
-// the whole run is answered by a single PHAST one-to-all sweep over the
-// hierarchy instead of per-pair searches. Indexes without a sweep (ALT
-// and HL) answer every pair in place, with no sort.
+// DistancesInto answers a batch. Indexed, every pair is answered in
+// place through the result cache and the index, exactly as Distance
+// answers it. Unindexed, the batch is ordered by (source, target) so
+// each distinct source's deduplicated targets cost one early-exit
+// multi-target Dijkstra.
 func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error {
 	if len(out) != len(pairs) {
 		return fmt.Errorf("dpgraph: DistancesInto: %d result slots for %d pairs", len(out), len(pairs))
@@ -228,8 +224,7 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 			return err
 		}
 	}
-	sweeper, canSweep := o.idx.(index.OneToAll)
-	if o.idx != nil && !canSweep {
+	if o.idx != nil {
 		for i, p := range pairs {
 			out[i] = o.indexedDistance(p.S, p.T)
 		}
@@ -242,10 +237,6 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 	}
 	ws.sorter.order, ws.sorter.pairs = order, pairs
 	sort.Sort(&ws.sorter)
-	minSweep := 0
-	if canSweep {
-		minSweep = sweeper.MinSweepTargets()
-	}
 	targets := ws.targets
 	buf := ws.buf
 	var retErr error
@@ -267,17 +258,7 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 			buf = make([]float64, len(targets))
 		}
 		buf = buf[:len(targets)]
-		switch {
-		case canSweep && len(targets) >= minSweep:
-			sweeper.DistancesFrom(s, targets, buf)
-		case o.idx != nil:
-			for j, t := range targets {
-				buf[j] = o.indexedDistance(s, t)
-			}
-		default:
-			retErr = graph.QueryDistancesFromTrusted(o.g, o.w, s, targets, buf)
-		}
-		if retErr != nil {
+		if retErr = graph.QueryDistancesFromTrusted(o.g, o.w, s, targets, buf); retErr != nil {
 			break
 		}
 		ti := 0
@@ -295,19 +276,6 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 	ws.targets, ws.buf = targets, buf
 	batchScratchPool.Put(ws)
 	return retErr
-}
-
-// MinSweepTargets reports the break-even batch width of the oracle's
-// one-to-all sweep — the smallest number of distinct same-source targets
-// the index answers faster in one linear pass than per pair. It is 0
-// when the oracle has no sweep (unindexed, ALT or HL serving), so a
-// caller sizing batches can tell whether grouping same-source pairs
-// pays.
-func (o *syntheticOracle) MinSweepTargets() int {
-	if sweeper, ok := o.idx.(index.OneToAll); ok {
-		return sweeper.MinSweepTargets()
-	}
-	return 0
 }
 
 func (o *syntheticOracle) Bound(gamma float64) float64 { return o.bound(gamma) }

@@ -7,7 +7,7 @@ import (
 
 // HotPathAnalyzer turns the repo's bench-only 0-alloc guards into static
 // review. Functions annotated //dpvet:hotpath (the serving fast-JSON
-// codecs, the CH/HL/PHAST query kernels, the Laplace fill shards) are the
+// codecs, the CH/HL point-query kernels, the Laplace fill shards) are the
 // paths the perf guards hold to 0 allocs/op; this analyzer rejects the
 // constructs that put allocations back:
 //

@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// The 0-alloc perf guards (#2 block sampling, #7 HL/PHAST kernels,
-// #8 zero-allocation serving) and the //dpvet:hotpath static guard must
-// name the same set of functions: a function benched to 0 allocs/op but
-// not annotated can regress between bench runs, and an annotation with no
-// bench behind it overstates the guarantee. This test greps both sides.
+// The 0-alloc perf guards (#2 block sampling, #7 CH/HL point-query
+// kernels, #8 zero-allocation serving) and the //dpvet:hotpath static
+// guard must name the same set of functions: a function benched to 0
+// allocs/op but not annotated can regress between bench runs, and an
+// annotation with no bench behind it overstates the guarantee. This test
+// greps both sides.
 
 // guardedFunctions maps each annotated source file to the functions the
 // perf guards hold allocation-free. Adding a hot function to a guard
@@ -30,12 +31,8 @@ var guardedFunctions = map[string][]string{
 		// guard #7: BenchmarkIndexDistance/hl
 		"Distance",
 	},
-	"internal/graph/index/phast.go": {
-		// guard #7: BenchmarkIndexOneToMany/phast
-		"DistancesFrom",
-	},
 	"internal/graph/index/search.go": {
-		// guard #7: the searchState kernel under both CH and PHAST
+		// guard #7: the searchState kernel under BenchmarkIndexDistance/ch
 		"begin", "distance", "settled", "update",
 		"empty", "minKey", "pop", "siftUp", "siftDown",
 	},
@@ -54,7 +51,6 @@ var guardedFunctions = map[string][]string{
 var guardMarkers = []string{
 	"BenchmarkFillLaplace/(crypto|seeded)",
 	"BenchmarkIndexDistance",
-	"BenchmarkIndexOneToMany",
 	"TestServeDistanceZeroAlloc|TestServeDistancesZeroAlloc",
 }
 

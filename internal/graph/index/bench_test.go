@@ -91,42 +91,3 @@ func BenchmarkIndexDistance(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkIndexOneToMany compares a repeated-source batch answered by
-// per-pair CH queries against one PHAST one-to-all sweep gathering the
-// same targets. scripts/check_perf_guards.sh gate #7 asserts the sweep
-// is >= 3x faster per pair and allocation-free in steady state.
-func BenchmarkIndexOneToMany(b *testing.B) {
-	g, w := benchGraph(b)
-	n := g.N()
-	idx, err := Build(g, w, Options{Mode: CH})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sweeper := idx.(OneToAll)
-	const fanout = 512
-	targets := make([]int, fanout)
-	for i := range targets {
-		targets[i] = (i*7919 + 13) % n
-	}
-	out := make([]float64, fanout)
-	b.Run("ch-perpair", func(b *testing.B) {
-		idx.Distance(0, n-1) // warm the workspace pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := (i * 104729) % n
-			for j, t := range targets {
-				out[j] = idx.Distance(s, t)
-			}
-		}
-	})
-	b.Run("phast", func(b *testing.B) {
-		sweeper.DistancesFrom(0, targets, out) // warm the sweep pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sweeper.DistancesFrom((i*104729)%n, targets, out)
-		}
-	})
-}

@@ -37,14 +37,13 @@ type chIndex struct {
 	upTo  []int32
 	upWt  []float64
 
-	// order lists every vertex before all vertices with upward edges
-	// into it (descending contraction rank at build time, a topological
-	// order of the upward DAG after rehydration) — the scan order of the
-	// PHAST downward phase and of label generation.
+	// order lists the vertices in descending contraction rank, so every
+	// vertex comes before all vertices with upward edges into it: the
+	// scan order of label generation. Only freeze fills it; a
+	// rehydrated hierarchy never builds labels.
 	order []int32
 
-	pool      sync.Pool // *chWorkspace
-	sweepPool sync.Pool // *sweepState
+	pool sync.Pool // *chWorkspace
 }
 
 type chWorkspace struct {
@@ -397,7 +396,8 @@ func (b *chBuilder) apply(v int32, w *chWork) int {
 }
 
 // freeze extracts the upward CSR: each vertex's list as it stood when
-// the vertex was contracted, original edges and shortcuts alike.
+// the vertex was contracted, original edges and shortcuts alike. It
+// also records the descending-rank order buildHL walks.
 func (b *chBuilder) freeze() *chIndex {
 	n := b.p.n
 	c := &chIndex{n: n, comp: b.p.comp, rank: b.rank, upOff: make([]int32, n+1)}
@@ -423,7 +423,6 @@ func (b *chBuilder) freeze() *chIndex {
 	c.pool.New = func() any {
 		return &chWorkspace{f: newSearchState(n), b: newSearchState(n)}
 	}
-	c.initSweep()
 	return c
 }
 

@@ -17,11 +17,10 @@ import (
 // vertex; the hierarchy it was merged from is not part of an HL
 // index), and the ALT landmark distance rows (k full Dijkstras).
 // Everything cheaply derivable from the topology and released weights
-// (the simplified CSR, component labels, a sweep order for the upward
-// DAG) is recomputed at rehydration instead, which both shrinks
-// snapshots and removes those arrays as a tamper surface:
-// a rehydrated index can never disagree with its own topology about
-// adjacency or connectivity.
+// (the simplified CSR, component labels) is recomputed at rehydration
+// instead, which both shrinks snapshots and removes those arrays as a
+// tamper surface: a rehydrated index can never disagree with its own
+// topology about adjacency or connectivity.
 
 // FlatIndex is the flat-array form of a built index, the shape the
 // snapshot container stores. Kind selects which family the arrays
@@ -131,18 +130,16 @@ func rehydrateCH(p *prepared, f *FlatIndex) (*chIndex, error) {
 			return nil, fmt.Errorf("index: CH upward edge %d has weight %g; want nonnegative", i, x)
 		}
 	}
-	// Contraction ranks are not serialized; any topological order of
-	// the upward DAG serves the sweep equally well, and its existence
-	// doubles as an acyclicity check on the claimed hierarchy.
-	order, ok := topoOrder(n, f.UpOff, f.UpTo)
-	if !ok {
+	// Every contraction hierarchy's upward graph is acyclic (each edge
+	// climbs in rank); flat arrays carrying a cycle were never produced
+	// by a contraction.
+	if _, ok := topoOrder(n, f.UpOff, f.UpTo); !ok {
 		return nil, fmt.Errorf("index: CH upward graph is cyclic; not a contraction hierarchy")
 	}
-	c := &chIndex{n: n, comp: p.comp, upOff: f.UpOff, upTo: f.UpTo, upWt: f.UpWt, order: order}
+	c := &chIndex{n: n, comp: p.comp, upOff: f.UpOff, upTo: f.UpTo, upWt: f.UpWt}
 	c.pool.New = func() any {
 		return &chWorkspace{f: newSearchState(n), b: newSearchState(n)}
 	}
-	c.initSweep()
 	return c, nil
 }
 
@@ -205,4 +202,49 @@ func rehydrateALT(p *prepared, f *FlatIndex) (Index, error) {
 	a := &altIndex{n: n, comp: p.comp, off: p.off, to: p.to, wt: p.wt, k: k, ld: f.LD}
 	a.pool = sync.Pool{New: func() any { return &altWork{st: newSearchState(n)} }}
 	return a, nil
+}
+
+// topoOrder returns a topological order of the upward DAG that places
+// every edge's target before its source, or false when the claimed
+// upward graph is cyclic. Rehydration uses it only as the acyclicity
+// check: contraction ranks are not serialized.
+func topoOrder(n int, upOff, upTo []int32) ([]int32, bool) {
+	// pending[v] counts v's upward edges whose targets are not yet
+	// placed; rev is the CSR of reversed upward edges.
+	pending := make([]int32, n)
+	revOff := make([]int32, n+1)
+	for _, u := range upTo {
+		revOff[u+1]++
+	}
+	for v := 0; v < n; v++ {
+		pending[v] = upOff[v+1] - upOff[v]
+		revOff[v+1] += revOff[v]
+	}
+	revTo := make([]int32, len(upTo))
+	next := make([]int32, n)
+	copy(next, revOff[:n])
+	for v := int32(0); v < int32(n); v++ {
+		for i := upOff[v]; i < upOff[v+1]; i++ {
+			u := upTo[i]
+			revTo[next[u]] = v
+			next[u]++
+		}
+	}
+	order := make([]int32, 0, n)
+	for v := int32(0); v < int32(n); v++ {
+		if pending[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for i := revOff[u]; i < revOff[u+1]; i++ {
+			v := revTo[i]
+			pending[v]--
+			if pending[v] == 0 {
+				order = append(order, v)
+			}
+		}
+	}
+	return order, len(order) == n
 }

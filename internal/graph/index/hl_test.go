@@ -35,16 +35,13 @@ func TestHLGridEquivalence(t *testing.T) {
 }
 
 // TestHLStandsAlone: an HL index is its labels and component ids. It
-// offers no one-to-all sweep and exports no hierarchy, so a sealed HL
-// artifact carries only the label arena.
+// exports no hierarchy, so a sealed HL artifact carries only the label
+// arena.
 func TestHLStandsAlone(t *testing.T) {
 	g, w := exportGrid(6)
 	idx, err := Build(g, w, Options{Mode: HL})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := idx.(OneToAll); ok {
-		t.Fatal("HL index implements OneToAll")
 	}
 	f, err := Export(idx)
 	if err != nil {

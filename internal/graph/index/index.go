@@ -21,10 +21,8 @@
 //     to contraction degeneracy on dense or highly non-hierarchical
 //     graphs.
 //
-// CH additionally implements OneToAll: a PHAST-style one-to-many sweep
-// that answers a repeated-source batch with a single upward search plus
-// one linear downward scan. HL keeps only its labels, so it answers
-// batches pair by pair, one label merge each.
+// Every family answers one pair at a time; a batch is its pairs' point
+// queries, so a batched answer is bit for bit the point answer.
 //
 // Build(Auto) tries CH first, falls back to ALT when contraction
 // degenerates (shortcut growth past a guard factor), and upgrades the

@@ -51,49 +51,6 @@ func TestQuickIndexedEqualsDijkstra(t *testing.T) {
 	}
 }
 
-// TestQuickOneToAllEqualsDijkstra: the PHAST sweep over a CH index
-// matches per-vertex Dijkstra for every target at once, including
-// unreachable ones, on arbitrary random multigraphs.
-func TestQuickOneToAllEqualsDijkstra(t *testing.T) {
-	f := func(seed int64, a uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(a%50)
-		g := graph.ErdosRenyi(n, 3/float64(n), rng)
-		for q := 0; q < 5; q++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		w := graph.UniformRandomWeights(g, 0, 4, rng)
-		targets := make([]int, n)
-		for v := range targets {
-			targets[v] = v
-		}
-		out := make([]float64, n)
-		idx, err := Build(g, w, Options{Mode: CH})
-		if err != nil {
-			return false
-		}
-		sweep, ok := idx.(OneToAll)
-		if !ok {
-			return false
-		}
-		s := rng.Intn(n)
-		sweep.DistancesFrom(s, targets, out)
-		for v := 0; v < n; v++ {
-			want, err := graph.QueryDistance(g, w, s, v)
-			if err != nil {
-				return false
-			}
-			if !distEqual(out[v], want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickIndexSymmetric: on undirected graphs the indexed distance is
 // symmetric, zero on the diagonal, and respects the triangle
 // inequality through a random midpoint.

@@ -13,9 +13,9 @@ import (
 // streamBatchMax bounds how many pending stream queries are answered in
 // one oracle batch: large enough to amortize the per-batch write and
 // flush, small enough that the first answers of a long stream arrive
-// promptly. On a CH release a source with enough distinct targets in
-// one batch is answered by a single sweep; hub labels answer every
-// pair with one label merge whatever the batch size.
+// promptly. An indexed release answers every pair with one point query
+// whatever the batch size, so the bound trades only write amortization
+// against latency.
 const streamBatchMax = 512
 
 // streamLineMax bounds one NDJSON input line; a pair of ints never

@@ -50,8 +50,8 @@ import (
 const (
 	magic = "DPGSNAP\x01"
 
-	// FormatVersion is the container version this package writes by
-	// default. Version 2 added the hub-label sections; version 3 seals
+	// FormatVersion is the container version this package writes, the
+	// only one Write emits. Version 2 added the hub-label sections; version 3 seals
 	// an "hl" index as its labels alone, without the hierarchy they were
 	// built from. The reader still accepts every version down to
 	// MinFormatVersion: version-1 artifacts (CH/ALT/no index) unseal

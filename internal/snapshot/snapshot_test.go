@@ -251,8 +251,8 @@ func TestUnknownVersionRejected(t *testing.T) {
 }
 
 // TestFormatVersion1RoundTrip pins backward compatibility: artifacts
-// written at format version 1 (everything but hub labels) must keep
-// reading under the version-2 reader, bit for bit.
+// sealed at format version 1 (everything but hub labels) must keep
+// reading under the current reader, bit for bit.
 func TestFormatVersion1RoundTrip(t *testing.T) {
 	for _, index := range []string{"", "ch", "alt"} {
 		name := index
@@ -262,7 +262,7 @@ func TestFormatVersion1RoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := testArtifact(index)
 			want.Meta.FormatVersion = 1
-			data := seal(t, want, WriteOptions{FormatVersion: 1})
+			data := rawContainer(t, want, indexSections(want)...)
 			got, info, err := Read(bytes.NewReader(data), ReadOptions{})
 			if err != nil {
 				t.Fatalf("Read: %v", err)
@@ -276,34 +276,33 @@ func TestFormatVersion1RoundTrip(t *testing.T) {
 }
 
 // TestFormatVersion1RejectsHubLabels: version 1 has no hub-label
-// sections, so asking the writer to downlevel an "hl" artifact is an
-// error, not silent data loss.
+// sections, so a version-1 container carrying them is rejected, and
+// Write refuses to seal an artifact declaring version 1.
 func TestFormatVersion1RejectsHubLabels(t *testing.T) {
 	art := testArtifact("hl")
 	art.Meta.FormatVersion = 1
-	if err := Write(io.Discard, art, WriteOptions{FormatVersion: 1}); err == nil {
+	data := rawContainer(t, art, indexSections(art)...)
+	if _, _, err := Read(bytes.NewReader(data), ReadOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("version-1 container with hub labels: err = %v, want ErrInvalid", err)
+	}
+	if err := Write(io.Discard, art, WriteOptions{}); err == nil {
 		t.Fatal("Write emitted hub labels into a version-1 container")
 	}
 }
 
 // rawContainer seals art's meta, edge and weight sections followed by
 // extra, at art's declared format version, without Write's checks on
-// which index sections belong together: it builds containers the
-// current writer refuses to emit.
+// the version and on which index sections belong together: it builds
+// the older containers and the malformed ones the writer refuses to
+// emit.
 func rawContainer(t *testing.T, art *Artifact, extra ...section) []byte {
 	t.Helper()
-	metaJSON, err := json.Marshal(&art.Meta)
+	secs, err := baseSections(art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := append([]section{
-		{kind: sectionMeta, length: uint64(len(metaJSON)), encode: encodeBytes(metaJSON)},
-		{kind: sectionEdgeFrom, length: 4 * uint64(len(art.EdgeFrom)), encode: encodeU32(art.EdgeFrom)},
-		{kind: sectionEdgeTo, length: 4 * uint64(len(art.EdgeTo)), encode: encodeU32(art.EdgeTo)},
-		{kind: sectionWeights, length: 8 * uint64(len(art.Weights)), encode: encodeF64(art.Weights)},
-	}, extra...)
 	var buf bytes.Buffer
-	if err := writeContainer(&buf, uint32(art.Meta.FormatVersion), art.Meta.Writer, secs, nil); err != nil {
+	if err := writeContainer(&buf, uint32(art.Meta.FormatVersion), art.Meta.Writer, append(secs, extra...), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -328,22 +327,22 @@ func TestHubLabelsStandAlone(t *testing.T) {
 		t.Fatalf("version-%d hl sections = %s", info.FormatVersion, got)
 	}
 
-	ch := chSections(testArtifact("ch"))
+	ch, hl := indexSections(testArtifact("ch")), indexSections(want)
 	for i := range ch {
-		data := rawContainer(t, want, append([]section{ch[i]}, hlSections(want)...)...)
+		data := rawContainer(t, want, append([]section{ch[i]}, hl...)...)
 		art, _, err := Read(bytes.NewReader(data), ReadOptions{})
 		if !errors.Is(err, ErrInvalid) || art != nil {
 			t.Fatalf("version-3 hl artifact with a %s section: art=%v err=%v", sectionName(ch[i].kind), art != nil, err)
 		}
 	}
-	data := rawContainer(t, want, append(ch, hlSections(want)...)...)
+	data := rawContainer(t, want, append(ch, hl...)...)
 	if _, _, err := Read(bytes.NewReader(data), ReadOptions{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("version-3 hl artifact with all CH sections: err = %v, want ErrInvalid", err)
 	}
 
 	old := testArtifact("hl")
 	old.Meta.FormatVersion = 2
-	if err := Write(io.Discard, old, WriteOptions{FormatVersion: 2}); err == nil {
+	if err := Write(io.Discard, old, WriteOptions{}); err == nil {
 		t.Fatal("Write sealed hub labels into a version-2 container")
 	}
 }
@@ -355,8 +354,8 @@ func TestHubLabelsStandAlone(t *testing.T) {
 func TestFormatVersion2HubLabelsRead(t *testing.T) {
 	want := testArtifact("hl")
 	want.Meta.FormatVersion = 2
-	ch := chSections(testArtifact("ch"))
-	data := rawContainer(t, want, append(ch, hlSections(want)...)...)
+	hl := indexSections(want)
+	data := rawContainer(t, want, append(indexSections(testArtifact("ch")), hl...)...)
 	got, info, err := Read(bytes.NewReader(data), ReadOptions{})
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -368,7 +367,7 @@ func TestFormatVersion2HubLabelsRead(t *testing.T) {
 
 	// The hierarchy is verified, not skipped: without it, or with a
 	// corrupted byte in it, the artifact is rejected.
-	if _, _, err := Read(bytes.NewReader(rawContainer(t, want, hlSections(want)...)), ReadOptions{}); !errors.Is(err, ErrInvalid) {
+	if _, _, err := Read(bytes.NewReader(rawContainer(t, want, hl...)), ReadOptions{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("version-2 hl artifact without CH sections: err = %v, want ErrInvalid", err)
 	}
 	mut := append([]byte(nil), data...)
@@ -379,14 +378,15 @@ func TestFormatVersion2HubLabelsRead(t *testing.T) {
 }
 
 // TestWriteRejectsVersionSkew: the meta document restates the container
-// version inside the signed payload chain, so the two must agree.
+// version inside the signed payload chain, so it must declare the one
+// version Write emits.
 func TestWriteRejectsVersionSkew(t *testing.T) {
-	art := testArtifact("")
-	if err := Write(io.Discard, art, WriteOptions{FormatVersion: 1}); err == nil {
-		t.Fatalf("Write accepted meta version %d in a version-1 container", art.Meta.FormatVersion)
-	}
-	if err := Write(io.Discard, art, WriteOptions{FormatVersion: 7}); err == nil {
-		t.Fatal("Write accepted an unsupported container version")
+	for _, v := range []int{0, 1, FormatVersion + 1} {
+		art := testArtifact("")
+		art.Meta.FormatVersion = v
+		if err := Write(io.Discard, art, WriteOptions{}); err == nil {
+			t.Fatalf("Write accepted meta version %d in a version-%d container", v, FormatVersion)
+		}
 	}
 }
 

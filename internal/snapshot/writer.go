@@ -18,13 +18,6 @@ type WriteOptions struct {
 	// Signing is deterministic, so re-sealing the same release yields
 	// byte-identical artifacts.
 	SigningKey ed25519.PrivateKey
-
-	// FormatVersion selects the container version to emit; 0 means the
-	// current FormatVersion. Older versions exist for compatibility
-	// testing and for consumers pinned to old readers — an artifact
-	// whose index kind the requested version cannot express (hub labels
-	// without their hierarchy before version 3) is an error.
-	FormatVersion uint32
 }
 
 // chunkBytes sizes the encode/decode scratch buffer: large enough to
@@ -38,67 +31,64 @@ const chunkBytes = 64 * 1024
 // in-memory arrays: one to compute the section digests that the
 // header-side table needs, one to emit the bytes. It validates the
 // artifact's internal consistency first so a malformed artifact is an
-// error here, not a time bomb for readers.
+// error here, not a time bomb for readers. It always emits version
+// FormatVersion, which art.Meta must declare; older versions are read
+// only.
 func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
-	version := opts.FormatVersion
-	if version == 0 {
-		version = FormatVersion
-	}
-	if version < MinFormatVersion || version > FormatVersion {
-		return fmt.Errorf("snapshot: cannot write format version %d (supported: %d..%d)", version, MinFormatVersion, FormatVersion)
-	}
-	if version < 3 && art.Meta.Index == "hl" {
-		return fmt.Errorf("snapshot: format version %d cannot carry hub labels on their own (need >= 3)", version)
-	}
-	if art.Meta.FormatVersion != int(version) {
-		return fmt.Errorf("snapshot: meta declares format version %d, writing %d", art.Meta.FormatVersion, version)
+	if art.Meta.FormatVersion != FormatVersion {
+		return fmt.Errorf("snapshot: meta declares format version %d, writing %d", art.Meta.FormatVersion, FormatVersion)
 	}
 	if err := validateArtifact(art); err != nil {
 		return err
 	}
+	secs, err := baseSections(art)
+	if err != nil {
+		return err
+	}
+	secs = append(secs, indexSections(art)...)
+	return writeContainer(w, FormatVersion, art.Meta.Writer, secs, opts.SigningKey)
+}
+
+// baseSections are the sections every artifact carries: meta, edge
+// endpoints and weights.
+func baseSections(art *Artifact) ([]section, error) {
 	metaJSON, err := json.Marshal(&art.Meta)
 	if err != nil {
-		return fmt.Errorf("snapshot: encoding meta: %w", err)
+		return nil, fmt.Errorf("snapshot: encoding meta: %w", err)
 	}
 	if len(metaJSON) > maxMetaLen {
-		return fmt.Errorf("snapshot: meta document is %d bytes, exceeding the %d-byte cap", len(metaJSON), maxMetaLen)
+		return nil, fmt.Errorf("snapshot: meta document is %d bytes, exceeding the %d-byte cap", len(metaJSON), maxMetaLen)
 	}
-
-	secs := []section{
+	return []section{
 		{kind: sectionMeta, length: uint64(len(metaJSON)), encode: encodeBytes(metaJSON)},
 		{kind: sectionEdgeFrom, length: 4 * uint64(len(art.EdgeFrom)), encode: encodeU32(art.EdgeFrom)},
 		{kind: sectionEdgeTo, length: 4 * uint64(len(art.EdgeTo)), encode: encodeU32(art.EdgeTo)},
 		{kind: sectionWeights, length: 8 * uint64(len(art.Weights)), encode: encodeF64(art.Weights)},
-	}
+	}, nil
+}
+
+// indexSections are the sections of art's index kind: the CH upward
+// CSR, the ALT landmark rows, or the hub-label arena.
+func indexSections(art *Artifact) []section {
 	switch art.Meta.Index {
 	case "ch":
-		secs = append(secs, chSections(art)...)
+		return []section{
+			{kind: sectionCHUpOff, length: 4 * uint64(len(art.CHUpOff)), encode: encodeI32(art.CHUpOff)},
+			{kind: sectionCHUpTo, length: 4 * uint64(len(art.CHUpTo)), encode: encodeI32(art.CHUpTo)},
+			{kind: sectionCHUpWt, length: 8 * uint64(len(art.CHUpWt)), encode: encodeF64(art.CHUpWt)},
+		}
 	case "alt":
-		secs = append(secs,
-			section{kind: sectionALTLandmarks, length: 8 * uint64(len(art.ALTLandmarks)), encode: encodeF64(art.ALTLandmarks)},
-		)
+		return []section{
+			{kind: sectionALTLandmarks, length: 8 * uint64(len(art.ALTLandmarks)), encode: encodeF64(art.ALTLandmarks)},
+		}
 	case "hl":
-		secs = append(secs, hlSections(art)...)
+		return []section{
+			{kind: sectionHLLabOff, length: 8 * uint64(len(art.HLLabOff)), encode: encodeI64(art.HLLabOff)},
+			{kind: sectionHLLabHub, length: 4 * uint64(len(art.HLLabHub)), encode: encodeI32(art.HLLabHub)},
+			{kind: sectionHLLabDist, length: 8 * uint64(len(art.HLLabDist)), encode: encodeF64(art.HLLabDist)},
+		}
 	}
-	return writeContainer(w, version, art.Meta.Writer, secs, opts.SigningKey)
-}
-
-// chSections are the three sections of the CH upward CSR.
-func chSections(art *Artifact) []section {
-	return []section{
-		{kind: sectionCHUpOff, length: 4 * uint64(len(art.CHUpOff)), encode: encodeI32(art.CHUpOff)},
-		{kind: sectionCHUpTo, length: 4 * uint64(len(art.CHUpTo)), encode: encodeI32(art.CHUpTo)},
-		{kind: sectionCHUpWt, length: 8 * uint64(len(art.CHUpWt)), encode: encodeF64(art.CHUpWt)},
-	}
-}
-
-// hlSections are the three sections of the hub-label arena.
-func hlSections(art *Artifact) []section {
-	return []section{
-		{kind: sectionHLLabOff, length: 8 * uint64(len(art.HLLabOff)), encode: encodeI64(art.HLLabOff)},
-		{kind: sectionHLLabHub, length: 4 * uint64(len(art.HLLabHub)), encode: encodeI32(art.HLLabHub)},
-		{kind: sectionHLLabDist, length: 8 * uint64(len(art.HLLabDist)), encode: encodeF64(art.HLLabDist)},
-	}
+	return nil
 }
 
 // writeContainer lays out secs (meta first, kinds strictly increasing),

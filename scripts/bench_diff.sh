@@ -4,10 +4,12 @@
 #
 #   scripts/bench_diff.sh BENCH_16.json BENCH_17.json
 #
-# Per workload it prints each metric's median over the seeds on both
-# sides, the change in percent and the bound. It exits non-zero when a
-# metric is worse by more than its bound, when the new side fails a
-# larger share of operations, or when a new run is not correct.
+# Per workload it prints each metric's median and min-max range over the
+# seeds on both sides, the change in percent and the bound. It exits
+# non-zero when a metric is worse by more than its bound, when the new
+# side fails a larger share of operations, or when a new run is not
+# correct. A worse row whose old runs alone span more than the bound is
+# marked "unresolved"; the mark does not change the exit status.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 OLD NEW" >&2

@@ -1,11 +1,14 @@
 // Command benchdiff compares two benchmark trajectory files written by
 // scripts/bench_run.sh against the end-to-end metrics and bounds that
 // BENCHMARK.json declares. For each workload it prints, per metric, the
-// median over the seeds on each side, the change in percent and the
-// bound, plus the share of failed operations. It exits 1 when a metric
-// is worse than OLD by more than its bound, when NEW fails a larger
-// share of operations, or when a NEW run is not correct. Run it through
-// scripts/bench_diff.sh:
+// median and the min-max range over the seeds on each side, the change
+// in percent and the bound, plus the share of failed operations. It
+// exits 1 when a metric is worse than OLD by more than its bound, when
+// NEW fails a larger share of operations, or when a NEW run is not
+// correct. A WORSE row whose old runs alone span more than the bound is
+// marked unresolved, since the old side's own spread is then wider than
+// the change it is judged by; the mark leaves the exit status as it is.
+// Run it through scripts/bench_diff.sh:
 //
 //	scripts/bench_diff.sh BENCH_old.json BENCH_new.json
 package main
@@ -14,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -115,6 +119,21 @@ func median(xs []float64) float64 {
 	return (ys[n/2-1] + ys[n/2]) / 2
 }
 
+// span returns the smallest and largest value of xs.
+func span(xs []float64) (lo, hi float64) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	return lo, hi
+}
+
+// rangeCell renders xs's min-max range for the table.
+func rangeCell(xs []float64) string {
+	lo, hi := span(xs)
+	return fmt.Sprintf("[%.4g, %.4g]", lo, hi)
+}
+
 func failShare(s *sample) float64 {
 	if s.attempted <= 0 {
 		return 0
@@ -133,7 +152,7 @@ func compare(w io.Writer, s *spec, old, cur *trajectory) bool {
 			fmt.Fprintln(w, "  skipped: no runs on one side")
 			continue
 		}
-		fmt.Fprintf(w, "  %-16s %14s %14s %9s %7s  %s\n", "metric", "old median", "new median", "delta", "bound", "verdict")
+		fmt.Fprintf(w, "  %-16s %12s %-23s %12s %-23s %9s %7s  %s\n", "metric", "old median", " old range", "new median", " new range", "delta", "bound", "verdict")
 		for _, m := range s.EndToEnd {
 			ov, cv := o.metrics[m.Name], c.metrics[m.Name]
 			if len(ov) == 0 || len(cv) == 0 {
@@ -152,14 +171,19 @@ func compare(w io.Writer, s *spec, old, cur *trajectory) bool {
 				verdict = "WORSE"
 				ok = false
 			}
-			fmt.Fprintf(w, "  %-16s %14.6g %14.6g %+8.1f%% %6.0f%%  %s (%s)\n", m.Name, om, cm, 100*delta, 100*m.Bound, verdict, m.Unit)
+			note := ""
+			if lo, hi := span(ov); verdict == "WORSE" && (hi-lo)/om > m.Bound {
+				note = fmt.Sprintf(" (unresolved: old runs span %.0f%%)", 100*(hi-lo)/om)
+			}
+			fmt.Fprintf(w, "  %-16s %12.6g %-23s %12.6g %-23s %+8.1f%% %6.0f%%  %s (%s)%s\n",
+				m.Name, om, " "+rangeCell(ov), cm, " "+rangeCell(cv), 100*delta, 100*m.Bound, verdict, m.Unit, note)
 		}
 		verdict := "ok"
 		if failShare(c) > failShare(o) {
 			verdict = "WORSE"
 			ok = false
 		}
-		fmt.Fprintf(w, "  %-16s %14.4g %14.4g %9s %7s  %s\n", "failed share", failShare(o), failShare(c), "", "", verdict)
+		fmt.Fprintf(w, "  %-16s %12.4g %-23s %12.4g %-23s %9s %7s  %s\n", "failed share", failShare(o), "", failShare(c), "", "", "", verdict)
 		if c.incorrect > 0 {
 			fmt.Fprintf(w, "  %d new runs not correct\n", c.incorrect)
 			ok = false

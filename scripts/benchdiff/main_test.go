@@ -62,6 +62,30 @@ func TestCompareBounds(t *testing.T) {
 	}
 }
 
+// TestCompareSpread: every row shows each side's min-max range, and a
+// WORSE row is marked unresolved only when the old runs alone span
+// more than the bound. The mark never changes the verdict.
+func TestCompareSpread(t *testing.T) {
+	slow := traj(t, 0, [2]float64{8, 100}, [2]float64{8, 100}, [2]float64{8, 100})
+	for _, tc := range []struct {
+		name, want string
+		old        *trajectory
+		marked     bool
+	}{
+		{"tight old runs", "[4.5, 5.5]", traj(t, 0, [2]float64{4.5, 100}, [2]float64{5, 100}, [2]float64{5.5, 100}), false},
+		{"wide old runs", "(unresolved: old runs span 120%)", traj(t, 0, [2]float64{2, 100}, [2]float64{5, 100}, [2]float64{8, 100}), true},
+	} {
+		var out strings.Builder
+		if compare(&out, testSpec0(t), tc.old, slow) {
+			t.Errorf("%s: compare = true, want false\n%s", tc.name, out.String())
+		}
+		if got := out.String(); !strings.Contains(got, tc.want) || !strings.Contains(got, "[8, 8]") ||
+			strings.Contains(got, "unresolved") != tc.marked {
+			t.Errorf("%s: output lacks %q or [8, 8], or marks unresolved = %v:\n%s", tc.name, tc.want, !tc.marked, got)
+		}
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if got := median([]float64{3, 1, 2}); got != 2 {
 		t.Fatalf("median odd = %v", got)
