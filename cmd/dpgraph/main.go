@@ -370,10 +370,9 @@ func answerPairs(oracle dpgraph.DistanceOracle, pairs []dpgraph.VertexPair, work
 	return values, nil
 }
 
-// readPairs decodes the query pairs from stdin via the parser shared
-// with the HTTP batch handler: text lines "s t" or a JSON array
-// ([[s,t], ...] or [{"s":..,"t":..}, ...]), format sniffed, trailing
-// JSON content rejected in both array forms.
+// readPairs decodes the query pairs from stdin with the HTTP batch
+// handler's parser (serve.ParsePairs): text lines "s t" or a JSON array
+// ([[s,t], ...] or [{"s":..,"t":..}, ...]) under one strict grammar.
 func readPairs(in io.Reader) ([]dpgraph.VertexPair, error) {
 	data, err := io.ReadAll(in)
 	if err != nil {

@@ -326,7 +326,7 @@ func TestReadPairsTrailingContent(t *testing.T) {
 }
 
 // TestRunQueryLongCommentLine: text pairs input must accept lines past
-// the 64 KiB default scanner limit, matching graph.ReadText's 16 MiB.
+// 64 KiB, as graph.ReadText does.
 func TestRunQueryLongCommentLine(t *testing.T) {
 	path := writeFile(t, "g.txt", pathGraph)
 	stdin := "# " + strings.Repeat("x", 128*1024) + "\n0 3\n"

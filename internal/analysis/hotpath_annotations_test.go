@@ -38,11 +38,10 @@ var guardedFunctions = map[string][]string{
 	},
 	"internal/serve/fastjson.go": {
 		// guard #8: TestServeDistanceZeroAlloc / TestServeDistancesZeroAlloc
-		"appendJSONFloat", "appendPairAnswer", "scanQueryPair",
-		"isJSONSpace", "skipJSONSpace", "parseJSONInt", "parseATOI",
-		"parsePointBodyFast", "parsePairsFast", "parseTuplePairsFast",
-		"parseObjectPairsFast", "isTextSpace", "parseTextPairsFast",
-		"readBodyLimit",
+		"appendJSONFloat", "appendPairAnswer", "parseQueryPair",
+		"isJSONSpace", "skipJSONSpace", "isTextSpace", "skipTextSpace",
+		"parseInt", "parseObject", "parseTuple", "parsePointBody",
+		"parsePairs", "parseArray", "parseTextLine", "readBodyLimit",
 	},
 }
 

@@ -106,8 +106,8 @@ func TestServeDistanceZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestServeDistancesZeroAlloc: the steady-state batch handler — text
-// and JSON tuple bodies — allocates nothing in our code.
+// TestServeDistancesZeroAlloc: the steady-state batch handler — text,
+// JSON tuple and JSON object bodies — allocates nothing in our code.
 func TestServeDistancesZeroAlloc(t *testing.T) {
 	s := allocServer(t)
 
@@ -117,6 +117,7 @@ func TestServeDistancesZeroAlloc(t *testing.T) {
 	}{
 		{"text", "0 15\n1 2\n3 3\n15 0\n"},
 		{"tuples", "[[0,15],[1,2],[3,3],[15,0]]"},
+		{"objects", `[{"s":0,"t":15},{"s":1,"t":2},{"t":3,"s":3},{"s":15,"t":0}]`},
 	} {
 		body := &replayBody{data: []byte(tc.body)}
 		req := httptest.NewRequest(http.MethodPost, "/v1/releases/main/distances", body)

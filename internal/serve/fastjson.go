@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,15 +16,41 @@ import (
 	"repro/dpgraph"
 )
 
-// This file is the allocation-free request path: pooled per-request
-// workspaces, append-based encoders for the distance response shapes,
-// and conservative fast parsers for the three query input forms (URL
-// query string, point JSON body, batch pairs body). Every fast parser
-// accepts only inputs it understands bit-for-bit identically to the
-// reflection-based path and reports !ok otherwise, so handlers fall
-// back to the encoding/json code for anything unusual — error messages
-// and acceptance stay exactly as before, and only the hot shapes pay
-// zero allocations.
+// This file is the request path's allocation-free half: pooled
+// per-request workspaces, append-based encoders for the distance
+// response shapes, and the one parser for each request form. Each
+// parser reads its input in one pass and allocates nothing on success
+// (a batch grows only its dst slice); errors are built by cold helpers
+// outside the //dpvet:hotpath functions and name the byte or line at
+// fault.
+//
+// The accepted grammar:
+//
+//   - JSON integer (a vertex in any JSON body): -?(0|[1-9][0-9]*) within
+//     [math.MinInt, math.MaxInt]; no null, string, fraction or exponent.
+//     JSON whitespace (space, \t, \n, \r) may surround every token, and
+//     nothing but whitespace may follow the top-level value.
+//   - Point object (POST .../distance, and each element of an object
+//     batch): {"s":S,"t":T}. The keys are exactly "s" and "t" (no case
+//     folding, no escapes, no other key), in either order. Both are
+//     required; a repeated key takes its last value.
+//   - Batch body (POST .../distances, and `dpgraph query` stdin): a JSON
+//     array of [S,T] tuples or of point objects, whose first element
+//     picks the shape for the whole array ([] is an empty batch); any
+//     other input is text lines.
+//   - Text lines (the batch text form and POST .../distances:stream):
+//     lines end at '\n'. A line holds two fields "S T" separated by
+//     ASCII whitespace (space, \t, \v, \f, \r), each an optionally
+//     signed decimal integer as strconv.Atoi reads it (leading zeros
+//     and '+' allowed). Blank lines and lines whose first non-space
+//     byte is '#' are skipped. A batch of nothing but ASCII whitespace
+//     is ErrNoPairs.
+//   - Query string (GET .../distance): '&'-separated segments, never
+//     unescaped. The first segment whose key is literally "s" gives s
+//     (a bare "s" gives the empty value), likewise "t", and both values
+//     must match -?[0-9]+ within the int range, so a '%' or '+' in
+//     them is an error. A key holding '%' is an error, since decoded it
+//     could spell s or t; every other segment is ignored.
 
 // workspace carries one request's scratch buffers: the raw body, the
 // decoded pairs, their answers, and the response bytes.
@@ -124,59 +151,46 @@ func appendErrorLine(b []byte, err error) []byte {
 	return append(b, '\n')
 }
 
-// scanQueryPair reads s and t straight from a raw query string without
-// building the url.Values map. It understands only verbatim
-// "s=<int>&t=<int>" spellings (any order, extra keys ignored like
-// url.Values.Get, first occurrence wins); percent escapes, '+', or ';'
-// make it report !ok so the caller re-parses through url.Values with
-// unchanged semantics.
+// parseQueryPair reads s and t from a raw query string (grammar above).
 //
 //dpvet:hotpath
-func scanQueryPair(raw string) (s, t int, ok bool) {
+func parseQueryPair(raw string) (p dpgraph.VertexPair, err error) {
+	var sVal, tVal string
 	var haveS, haveT bool
-	for len(raw) > 0 {
-		var seg string
-		if k := strings.IndexByte(raw, '&'); k >= 0 {
-			seg, raw = raw[:k], raw[k+1:]
+	for rest := raw; rest != ""; {
+		seg := rest
+		if k := strings.IndexByte(rest, '&'); k >= 0 {
+			seg, rest = rest[:k], rest[k+1:]
 		} else {
-			seg, raw = raw, ""
+			rest = ""
 		}
-		if seg == "" {
-			continue
-		}
-		if strings.IndexByte(seg, '%') >= 0 || strings.IndexByte(seg, '+') >= 0 || strings.IndexByte(seg, ';') >= 0 {
-			return 0, 0, false
-		}
-		eq := strings.IndexByte(seg, '=')
-		if eq < 0 {
-			continue // bare key: url.Values maps it to "", irrelevant to s/t
-		}
-		key, val := seg[:eq], seg[eq+1:]
-		switch key {
-		case "s":
-			if haveS {
-				continue
-			}
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return 0, 0, false
-			}
-			s, haveS = v, true
-		case "t":
-			if haveT {
-				continue
-			}
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return 0, 0, false
-			}
-			t, haveT = v, true
+		key, val, _ := strings.Cut(seg, "=")
+		switch {
+		case key == "s" && !haveS:
+			sVal, haveS = val, true
+		case key == "t" && !haveT:
+			tVal, haveT = val, true
+		case strings.IndexByte(key, '%') >= 0:
+			return p, queryError(sVal, tVal, key)
 		}
 	}
-	if !haveS || !haveT {
-		return 0, 0, false
+	var errS, errT error
+	p.S, errS = strconv.Atoi(sVal)
+	p.T, errT = strconv.Atoi(tVal)
+	if errS != nil || errT != nil || sVal[0] == '+' || tVal[0] == '+' {
+		return p, queryError(sVal, tVal, "")
 	}
-	return s, t, true
+	return p, nil
+}
+
+// queryError reports a query string parseQueryPair rejects, given the
+// s and t values it found and the percent-escaped key that stopped it,
+// if any.
+func queryError(sVal, tVal, escapedKey string) error {
+	if escapedKey != "" {
+		return fmt.Errorf("want integer query parameters s and t, got percent-escaped key %q", escapedKey)
+	}
+	return fmt.Errorf("want integer query parameters s and t, got s=%q t=%q", sVal, tVal)
 }
 
 // isJSONSpace reports JSON (RFC 8259) insignificant whitespace.
@@ -192,317 +206,283 @@ func skipJSONSpace(data []byte, i int) int {
 	return i
 }
 
-// parseJSONInt parses one JSON integer literal (no fraction, exponent,
-// or leading zeros) starting at i, reporting the value and the index
-// past it.
-//
-//dpvet:hotpath
-func parseJSONInt(data []byte, i int) (val, next int, ok bool) {
-	neg := false
-	if i < len(data) && data[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		if val > (math.MaxInt-9)/10 {
-			return 0, 0, false // overflow: defer to the strict parser
-		}
-		val = val*10 + int(data[i]-'0')
-		i++
-	}
-	if i == start {
-		return 0, 0, false
-	}
-	if data[start] == '0' && i-start > 1 {
-		return 0, 0, false // leading zero is not JSON
-	}
-	if neg {
-		val = -val
-	}
-	return val, i, true
-}
+// textSpace is the ASCII whitespace that separates the fields of a text
+// line: the ASCII members of unicode.IsSpace.
+const textSpace = " \t\n\v\f\r"
 
-// parseATOI parses an optionally signed ASCII integer over the whole
-// byte range, with strconv.Atoi's acceptance (leading zeros fine,
-// leading '+' fine) minus its allocation.
-//
-//dpvet:hotpath
-func parseATOI(data []byte) (val int, ok bool) {
-	i := 0
-	neg := false
-	if i < len(data) && (data[i] == '+' || data[i] == '-') {
-		neg = data[i] == '-'
-		i++
-	}
-	if i == len(data) {
-		return 0, false
-	}
-	for ; i < len(data); i++ {
-		c := data[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if val > (math.MaxInt-9)/10 {
-			return 0, false
-		}
-		val = val*10 + int(c-'0')
-	}
-	if neg {
-		val = -val
-	}
-	return val, true
-}
-
-// parsePointBodyFast decodes one {"s":<int>,"t":<int>} object (either
-// key order, duplicate keys last-wins like encoding/json). Anything
-// else — unknown keys, escapes, non-integer values, trailing content —
-// reports !ok for the strict decoder to re-parse.
-//
-//dpvet:hotpath
-func parsePointBodyFast(data []byte) (s, t int, ok bool) {
-	i := skipJSONSpace(data, 0)
-	if i >= len(data) || data[i] != '{' {
-		return 0, 0, false
-	}
-	i = skipJSONSpace(data, i+1)
-	var haveS, haveT bool
-	for {
-		if i >= len(data) {
-			return 0, 0, false
-		}
-		if data[i] == '}' && !haveS && !haveT {
-			return 0, 0, false // empty object: let the strict path report missing keys
-		}
-		if i+2 >= len(data) || data[i] != '"' || data[i+2] != '"' {
-			return 0, 0, false
-		}
-		key := data[i+1]
-		if key != 's' && key != 't' {
-			return 0, 0, false
-		}
-		i = skipJSONSpace(data, i+3)
-		if i >= len(data) || data[i] != ':' {
-			return 0, 0, false
-		}
-		i = skipJSONSpace(data, i+1)
-		v, next, vok := parseJSONInt(data, i)
-		if !vok {
-			return 0, 0, false
-		}
-		if key == 's' {
-			s, haveS = v, true
-		} else {
-			t, haveT = v, true
-		}
-		i = skipJSONSpace(data, next)
-		if i >= len(data) {
-			return 0, 0, false
-		}
-		if data[i] == ',' {
-			i = skipJSONSpace(data, i+1)
-			continue
-		}
-		if data[i] != '}' {
-			return 0, 0, false
-		}
-		i = skipJSONSpace(data, i+1)
-		break
-	}
-	if i != len(data) || !haveS || !haveT {
-		return 0, 0, false
-	}
-	return s, t, true
-}
-
-// parsePairsFast decodes the common batch shapes — text "s t" lines,
-// JSON [[s,t],...], JSON [{"s":..,"t":..},...] — into dst without
-// allocating beyond dst's growth. It reports !ok (with dst contents
-// unspecified) for any input it is not certain ParsePairs would accept
-// with the identical result, so the caller can fall back.
-//
-//dpvet:hotpath
-func parsePairsFast(dst []dpgraph.VertexPair, data []byte) ([]dpgraph.VertexPair, bool) {
-	i := skipJSONSpace(data, 0)
-	if i >= len(data) {
-		return dst, false // empty: slow path owns the ErrNoPairs message
-	}
-	if data[i] == '[' {
-		j := skipJSONSpace(data, i+1)
-		if j < len(data) && data[j] == '{' {
-			return parseObjectPairsFast(dst, data, i)
-		}
-		return parseTuplePairsFast(dst, data, i)
-	}
-	return parseTextPairsFast(dst, data)
-}
-
-// parseTuplePairsFast decodes [[s,t], ...] starting at the '[' at i.
-//
-//dpvet:hotpath
-func parseTuplePairsFast(dst []dpgraph.VertexPair, data []byte, i int) ([]dpgraph.VertexPair, bool) {
-	i = skipJSONSpace(data, i+1)
-	if i < len(data) && data[i] == ']' {
-		return dst, skipJSONSpace(data, i+1) == len(data)
-	}
-	for {
-		if i >= len(data) || data[i] != '[' {
-			return dst, false
-		}
-		i = skipJSONSpace(data, i+1)
-		s, next, ok := parseJSONInt(data, i)
-		if !ok {
-			return dst, false
-		}
-		i = skipJSONSpace(data, next)
-		if i >= len(data) || data[i] != ',' {
-			return dst, false
-		}
-		i = skipJSONSpace(data, i+1)
-		t, next, ok := parseJSONInt(data, i)
-		if !ok {
-			return dst, false
-		}
-		i = skipJSONSpace(data, next)
-		if i >= len(data) || data[i] != ']' {
-			return dst, false // wrong arity or junk: strict path reports it
-		}
-		dst = append(dst, dpgraph.VertexPair{S: s, T: t})
-		i = skipJSONSpace(data, i+1)
-		if i < len(data) && data[i] == ',' {
-			i = skipJSONSpace(data, i+1)
-			continue
-		}
-		break
-	}
-	if i >= len(data) || data[i] != ']' {
-		return dst, false
-	}
-	return dst, skipJSONSpace(data, i+1) == len(data)
-}
-
-// parseObjectPairsFast decodes [{"s":..,"t":..}, ...] starting at the
-// '[' at i, with encoding/json's member semantics for the two known
-// keys (missing key defaults to zero, duplicate key last-wins).
-//
-//dpvet:hotpath
-func parseObjectPairsFast(dst []dpgraph.VertexPair, data []byte, i int) ([]dpgraph.VertexPair, bool) {
-	i = skipJSONSpace(data, i+1)
-	for {
-		if i >= len(data) || data[i] != '{' {
-			return dst, false
-		}
-		i = skipJSONSpace(data, i+1)
-		var p dpgraph.VertexPair
-		for i < len(data) && data[i] != '}' {
-			if i+2 >= len(data) || data[i] != '"' || data[i+2] != '"' {
-				return dst, false
-			}
-			key := data[i+1]
-			if key != 's' && key != 't' {
-				return dst, false // unknown or escaped key: strict path rejects/handles
-			}
-			i = skipJSONSpace(data, i+3)
-			if i >= len(data) || data[i] != ':' {
-				return dst, false
-			}
-			i = skipJSONSpace(data, i+1)
-			v, next, ok := parseJSONInt(data, i)
-			if !ok {
-				return dst, false
-			}
-			if key == 's' {
-				p.S = v
-			} else {
-				p.T = v
-			}
-			i = skipJSONSpace(data, next)
-			if i < len(data) && data[i] == ',' {
-				i = skipJSONSpace(data, i+1)
-				if i < len(data) && data[i] == '}' {
-					return dst, false // trailing comma is not JSON
-				}
-				continue
-			}
-			if i >= len(data) || data[i] != '}' {
-				return dst, false // a member is followed by ',' or '}' only
-			}
-		}
-		if i >= len(data) {
-			return dst, false
-		}
-		dst = append(dst, p)
-		i = skipJSONSpace(data, i+1)
-		if i < len(data) && data[i] == ',' {
-			i = skipJSONSpace(data, i+1)
-			continue
-		}
-		break
-	}
-	if i >= len(data) || data[i] != ']' {
-		return dst, false
-	}
-	return dst, skipJSONSpace(data, i+1) == len(data)
-}
-
-// isTextSpace matches the ASCII whitespace strings.Fields would split
-// on within a line (the line separator '\n' is handled by the caller).
-//
 //dpvet:hotpath
 func isTextSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
 }
 
-// parseTextPairsFast decodes "s t" lines: blank lines and '#' comment
-// lines skipped, exactly two integer fields otherwise. Any byte outside
-// digits, signs, '#', and ASCII whitespace defers to the strict parser
-// (which also owns all error reporting).
+//dpvet:hotpath
+func skipTextSpace(data []byte, i int) int {
+	for i < len(data) && isTextSpace(data[i]) {
+		i++
+	}
+	return i
+}
+
+// parseInt reads a decimal integer in [math.MinInt, math.MaxInt] at
+// data[i:], returning it and the index just past it; on failure next is
+// i. A JSON integer (json true) takes no '+' sign and no leading zero;
+// a text field takes both, as strconv.Atoi does.
 //
 //dpvet:hotpath
-func parseTextPairsFast(dst []dpgraph.VertexPair, data []byte) ([]dpgraph.VertexPair, bool) {
-	for len(data) > 0 {
-		var line []byte
+func parseInt(data []byte, i int, json bool) (v, next int, ok bool) {
+	j := i
+	neg := j < len(data) && data[j] == '-'
+	if neg || (!json && j < len(data) && data[j] == '+') {
+		j++
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++ // |math.MinInt|
+	}
+	start, cutoff := j, limit/10
+	var u uint64
+	for ; j < len(data) && data[j] >= '0' && data[j] <= '9'; j++ {
+		if u > cutoff {
+			return 0, i, false
+		}
+		if u = u*10 + uint64(data[j]-'0'); u > limit {
+			return 0, i, false
+		}
+	}
+	if j == start || (json && data[start] == '0' && j-start > 1) {
+		return 0, i, false
+	}
+	v = int(u) // wraps to math.MinInt for |math.MinInt|, which negation keeps
+	if neg {
+		v = -v
+	}
+	return v, j, true
+}
+
+// Token descriptions the JSON parsers report as the thing they wanted
+// where they stopped.
+const (
+	wantInt       = "an integer"
+	wantBothKeys  = `both "s" and "t"`
+	wantEndOfJSON = "end of input"
+)
+
+// parseObject reads one point object at data[i]. On success want is ""
+// and next is past the '}'; otherwise next is the byte at fault and
+// want describes what should have been there.
+//
+//dpvet:hotpath
+func parseObject(data []byte, i int) (p dpgraph.VertexPair, next int, want string) {
+	if i >= len(data) || data[i] != '{' {
+		return p, i, `"{"`
+	}
+	var haveS, haveT bool
+	for {
+		i = skipJSONSpace(data, i+1) // past '{' or ','
+		if i+2 >= len(data) || data[i] != '"' || data[i+2] != '"' || (data[i+1] != 's' && data[i+1] != 't') {
+			return p, i, `key "s" or "t"`
+		}
+		key := data[i+1]
+		i = skipJSONSpace(data, i+3)
+		if i >= len(data) || data[i] != ':' {
+			return p, i, `":"`
+		}
+		v, j, ok := parseInt(data, skipJSONSpace(data, i+1), true)
+		if !ok {
+			return p, j, wantInt
+		}
+		if key == 's' {
+			p.S, haveS = v, true
+		} else {
+			p.T, haveT = v, true
+		}
+		if i = skipJSONSpace(data, j); i >= len(data) || data[i] != ',' {
+			break
+		}
+	}
+	if i >= len(data) || data[i] != '}' {
+		return p, i, `"," or "}"`
+	}
+	if !haveS || !haveT {
+		return p, i, wantBothKeys
+	}
+	return p, i + 1, ""
+}
+
+// parseTuple reads one [S,T] tuple at data[i], reporting like
+// parseObject.
+//
+//dpvet:hotpath
+func parseTuple(data []byte, i int) (p dpgraph.VertexPair, next int, want string) {
+	if i >= len(data) || data[i] != '[' {
+		return p, i, `"["`
+	}
+	var ok bool
+	if p.S, i, ok = parseInt(data, skipJSONSpace(data, i+1), true); !ok {
+		return p, i, wantInt
+	}
+	if i = skipJSONSpace(data, i); i >= len(data) || data[i] != ',' {
+		return p, i, `","`
+	}
+	if p.T, i, ok = parseInt(data, skipJSONSpace(data, i+1), true); !ok {
+		return p, i, wantInt
+	}
+	if i = skipJSONSpace(data, i); i >= len(data) || data[i] != ']' {
+		return p, i, `"]"`
+	}
+	return p, i + 1, ""
+}
+
+// parsePointBody reads a point body: one point object.
+//
+//dpvet:hotpath
+func parsePointBody(data []byte) (dpgraph.VertexPair, error) {
+	p, i, want := parseObject(data, skipJSONSpace(data, 0))
+	if want == "" {
+		if i = skipJSONSpace(data, i); i < len(data) {
+			want = wantEndOfJSON
+		}
+	}
+	if want != "" {
+		return p, syntaxError("bad pair body", data, i, want)
+	}
+	return p, nil
+}
+
+// parsePairs appends the pairs of a batch body to dst.
+//
+//dpvet:hotpath
+func parsePairs(dst []dpgraph.VertexPair, data []byte) ([]dpgraph.VertexPair, error) {
+	if i := skipJSONSpace(data, 0); i < len(data) && data[i] == '[' {
+		return parseArray(dst, data, i)
+	}
+	if skipTextSpace(data, 0) == len(data) {
+		return dst, ErrNoPairs
+	}
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		line := data
 		if k := bytes.IndexByte(data, '\n'); k >= 0 {
 			line, data = data[:k], data[k+1:]
 		} else {
-			line, data = data, nil
+			data = nil
 		}
-		lo, hi := 0, len(line)
-		for lo < hi && isTextSpace(line[lo]) {
-			lo++
+		p, skip, ok := parseTextLine(line)
+		if !ok {
+			return dst, lineError(lineNo, line)
 		}
-		for hi > lo && isTextSpace(line[hi-1]) {
-			hi--
+		if !skip {
+			dst = append(dst, p)
 		}
-		line = line[lo:hi]
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		k := 0
-		for k < len(line) && !isTextSpace(line[k]) {
-			k++
-		}
-		f0 := line[:k]
-		for k < len(line) && isTextSpace(line[k]) {
-			k++
-		}
-		rest := line[k:]
-		for _, c := range rest {
-			if isTextSpace(c) {
-				return dst, false // three or more fields: strict path reports it
-			}
-		}
-		s, ok1 := parseATOI(f0)
-		t, ok2 := parseATOI(rest)
-		if !ok1 || !ok2 {
-			return dst, false
-		}
-		dst = append(dst, dpgraph.VertexPair{S: s, T: t})
 	}
-	if len(dst) == 0 {
-		return dst, false // nothing but comments/blanks: slow path decides
+	return dst, nil
+}
+
+// parseArray appends the elements of the JSON batch array at data[i].
+//
+//dpvet:hotpath
+func parseArray(dst []dpgraph.VertexPair, data []byte, i int) ([]dpgraph.VertexPair, error) {
+	i = skipJSONSpace(data, i+1)
+	objects := i < len(data) && data[i] == '{'
+	empty := i < len(data) && data[i] == ']'
+	for n := 0; !empty; n++ {
+		start := i
+		var p dpgraph.VertexPair
+		var want string
+		if objects {
+			p, i, want = parseObject(data, i)
+		} else {
+			p, i, want = parseTuple(data, i)
+		}
+		if want != "" {
+			return dst, batchError(data, n, start, i, want)
+		}
+		dst = append(dst, p)
+		if i = skipJSONSpace(data, i); i >= len(data) || data[i] != ',' {
+			break
+		}
+		i = skipJSONSpace(data, i+1)
 	}
-	return dst, true
+	if i >= len(data) || data[i] != ']' {
+		return dst, syntaxError("bad JSON pairs", data, i, `"," or "]"`)
+	}
+	if i = skipJSONSpace(data, i+1); i < len(data) {
+		return dst, syntaxError("bad JSON pairs", data, i, wantEndOfJSON)
+	}
+	return dst, nil
+}
+
+// parseTextLine reads one text line: a pair, or skip for a blank or
+// comment line; ok is false for anything else.
+//
+//dpvet:hotpath
+func parseTextLine(line []byte) (p dpgraph.VertexPair, skip, ok bool) {
+	i := skipTextSpace(line, 0)
+	if i == len(line) || line[i] == '#' {
+		return p, true, true
+	}
+	if p.S, i, ok = parseInt(line, i, false); !ok || i == len(line) || !isTextSpace(line[i]) {
+		return p, false, false
+	}
+	if p.T, i, ok = parseInt(line, skipTextSpace(line, i), false); !ok || skipTextSpace(line, i) < len(line) {
+		return p, false, false
+	}
+	return p, false, true
+}
+
+// lineError reports a malformed text line.
+func lineError(lineNo int, line []byte) error {
+	return fmt.Errorf("line %d: want two integers \"s t\", got %q", lineNo, bytes.Trim(line, textSpace))
+}
+
+// batchError reports why element n of a JSON batch, which starts at
+// byte start, failed at byte at: a tuple of integers with the wrong
+// arity gets its count, anything else a syntax error.
+func batchError(data []byte, n, start, at int, want string) error {
+	if k, ok := tupleLen(data, start); ok && k != 2 {
+		return fmt.Errorf("JSON pair %d has %d elements, want 2", n, k)
+	}
+	return syntaxError("bad JSON pairs", data, at, want)
+}
+
+// tupleLen counts the elements of the JSON array of integers at
+// data[i], reporting !ok when there is none there.
+func tupleLen(data []byte, i int) (k int, ok bool) {
+	if i >= len(data) || data[i] != '[' {
+		return 0, false
+	}
+	if i = skipJSONSpace(data, i+1); i < len(data) && data[i] == ']' {
+		return 0, true
+	}
+	for {
+		_, next, ok := parseInt(data, i, true)
+		if !ok {
+			return 0, false
+		}
+		k++
+		if i = skipJSONSpace(data, next); i >= len(data) || data[i] != ',' {
+			return k, i < len(data) && data[i] == ']'
+		}
+		i = skipJSONSpace(data, i+1)
+	}
+}
+
+// syntaxError reports what a JSON parser wanted at byte at and what it
+// found there.
+func syntaxError(prefix string, data []byte, at int, want string) error {
+	if at >= len(data) {
+		return fmt.Errorf("%s: want %s at byte %d, got end of input", prefix, want, at)
+	}
+	got := data[at:min(at+16, len(data))]
+	if want == wantInt {
+		j := at + 1
+		for j < len(data) && data[j] >= '0' && data[j] <= '9' {
+			j++
+		}
+		if _, err := strconv.Atoi(string(data[at:j])); errors.Is(err, strconv.ErrRange) {
+			return fmt.Errorf("%s: integer %s at byte %d is out of the int range", prefix, data[at:j], at)
+		}
+	}
+	return fmt.Errorf("%s: want %s at byte %d, got %q", prefix, want, at, got)
 }
 
 // bodyTooLargeError mirrors http.MaxBytesError for the manual body

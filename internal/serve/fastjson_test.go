@@ -6,8 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,41 +15,104 @@ import (
 	"repro/dpgraph"
 )
 
-// TestScanQueryPairParity drives the RawQuery scanner against
-// url.ParseQuery: whenever the scanner accepts a query string, its
-// (s, t) must equal what the url.Values path would have produced, and
-// it must reject (not mis-parse) every spelling whose decoding it does
-// not implement.
+// Vertices at the edges of the int range, and one past each edge.
+var (
+	maxInt   = strconv.Itoa(math.MaxInt)
+	minInt   = strconv.Itoa(math.MinInt)
+	overMax  = strconv.FormatUint(uint64(math.MaxInt)+1, 10)
+	underMin = "-" + strconv.FormatUint(uint64(math.MaxInt)+2, 10)
+)
+
+// grammarCase is one row of an accept/reject table for a parser: ok
+// inputs must decode to want, the others must fail.
+type grammarCase struct {
+	in   string
+	ok   bool
+	want []dpgraph.VertexPair
+}
+
+func accept(in string, want ...dpgraph.VertexPair) grammarCase {
+	return grammarCase{in: in, ok: true, want: want}
+}
+
+func reject(in string) grammarCase { return grammarCase{in: in} }
+
+func pair(s, t int) dpgraph.VertexPair { return dpgraph.VertexPair{S: s, T: t} }
+
+// checkGrammar runs one parser over a table; every rejection must carry
+// one of the parser's error prefixes.
+func checkGrammar(t *testing.T, name string, cases []grammarCase, parse func(string) ([]dpgraph.VertexPair, error), prefixes ...string) {
+	t.Helper()
+	for _, tc := range cases {
+		got, err := parse(tc.in)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s(%q) rejected: %v", name, tc.in, err)
+		case tc.ok && !slices.Equal(got, tc.want):
+			t.Errorf("%s(%q) = %v, want %v", name, tc.in, got, tc.want)
+		case !tc.ok && err == nil:
+			t.Errorf("%s(%q) accepted: %v", name, tc.in, got)
+		case !tc.ok && !hasPrefix(err, prefixes):
+			t.Errorf("%s(%q) error %q has none of the prefixes %q", name, tc.in, err, prefixes)
+		}
+	}
+}
+
+func hasPrefix(err error, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(err.Error(), p) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestScanQueryPairParity is the query-string grammar's accept/reject
+// table (the test kept its name from the scanner it used to check).
 func TestScanQueryPairParity(t *testing.T) {
-	cases := []string{
-		"s=1&t=2", "t=2&s=1", "s=0&t=0", "s=-3&t=+7", "s=007&t=8",
-		"s=1&t=2&x=9", "x=9&s=1&t=2", "s=1&s=5&t=2", "t=2&t=9&s=1",
-		"s=1", "t=2", "", "s=&t=2", "s=a&t=2", "s=1&t=2.5",
-		"s=%31&t=2", "s=+1&t=2", "s=1;t=2", "s=1&t=2&", "&s=1&t=2",
-		"s=1&&t=2", "s==1&t=2", "s=1&t", "s=9999999999999999999&t=1",
+	cases := []grammarCase{
+		accept("s=1&t=2", pair(1, 2)),
+		accept("t=2&s=1", pair(1, 2)),
+		accept("s=0&t=0", pair(0, 0)),
+		accept("s=007&t=8", pair(7, 8)),
+		accept("s=-0&t=1", pair(0, 1)),
+		accept("s=1&t=2&x=9", pair(1, 2)),
+		accept("x=9&s=1&t=2", pair(1, 2)),
+		accept("x=a%20b+c&s=1&t=2", pair(1, 2)), // other segments are never decoded
+		accept("s=1&s=5&t=2", pair(1, 2)),       // first s wins
+		accept("t=2&t=9&s=1", pair(1, 2)),
+		accept("s=1&t=2&", pair(1, 2)),
+		accept("&s=1&t=2", pair(1, 2)),
+		accept("s=1&&t=2", pair(1, 2)),
+		accept("s="+maxInt+"&t="+minInt, pair(math.MaxInt, math.MinInt)),
+		reject("s=-3&t=+7"), // '+' is not in -?[0-9]+ (and url.Values reads it as a space)
+		reject("s=+1&t=2"),
+		reject("s=1"),
+		reject("t=2"),
+		reject(""),
+		reject("s=&t=2"),
+		reject("s=a&t=2"),
+		reject("s=1&t=2.5"),
+		reject("s=%31&t=2"),     // escapes are not decoded
+		reject("%73=1&t=2"),     // an escaped key could spell s
+		reject("%73=5&s=1&t=2"), // url.Values reads s=5 here; never answer a different pair
+		reject("s=1;t=2"),
+		reject("s==1&t=2"),
+		reject("s=1&t"),     // a bare t is a t with the empty value
+		reject("s&s=1&t=2"), // likewise a bare s, and it comes first
+		reject("s=9999999999999999999&t=1"),
+		reject("s=" + overMax + "&t=1"),
+		reject("s=1&t=" + underMin),
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		cases = append(cases, "s="+strconv.Itoa(rng.Intn(2000)-1000)+"&t="+strconv.Itoa(rng.Intn(2000)-1000))
+		s, tv := rng.Intn(2000)-1000, rng.Intn(2000)-1000
+		cases = append(cases, accept("s="+strconv.Itoa(s)+"&t="+strconv.Itoa(tv), pair(s, tv)))
 	}
-	for _, raw := range cases {
-		gs, gt, ok := scanQueryPair(raw)
-		vals, _ := url.ParseQuery(raw)
-		ws, err1 := strconv.Atoi(vals.Get("s"))
-		wt, err2 := strconv.Atoi(vals.Get("t"))
-		slowOK := err1 == nil && err2 == nil
-		if ok {
-			if !slowOK {
-				t.Errorf("scanQueryPair(%q) accepted what url.ParseQuery rejects", raw)
-				continue
-			}
-			if gs != ws || gt != wt {
-				t.Errorf("scanQueryPair(%q) = (%d,%d), url.Values path = (%d,%d)", raw, gs, gt, ws, wt)
-			}
-		}
-		// !ok is always fine: the handler falls back to the url.Values
-		// path, so rejections cannot change behavior.
-	}
+	checkGrammar(t, "parseQueryPair", cases, func(in string) ([]dpgraph.VertexPair, error) {
+		p, err := parseQueryPair(in)
+		return []dpgraph.VertexPair{p}, err
+	}, "want integer query parameters s and t")
 }
 
 // TestAppendPairAnswerParity pins the fast encoder to PairAnswer's
@@ -95,78 +157,81 @@ func TestAppendJSONFloatQuick(t *testing.T) {
 	}
 }
 
-// TestParsePairsFastParity drives the fast batch parser against
-// ParsePairs over every input family: on accept the decoded pairs must
-// match exactly, and the canonical hot shapes must actually take the
-// fast path (a silent permanent fallback would be a quiet perf bug).
+// TestParsePairsFastParity is the batch grammar's accept/reject table
+// over all three forms (the test kept its name from the fast parser it
+// used to check).
 func TestParsePairsFastParity(t *testing.T) {
-	cases := []struct {
-		in       string
-		wantFast bool
-	}{
-		{"0 1\n2 3\n", true},
-		{"0 1", true},
-		{"  7   9  \n\n# comment\n4 5\r\n", true},
-		{"-1 +2\n007 8\n", true},
-		{"[[0,1],[2,3]]", true},
-		{" [ [ 0 , 1 ] , [ 2 , 3 ] ] ", true},
-		{"[]", true},
-		{"[ ]", true},
-		{`[{"s":0,"t":1},{"t":3,"s":2}]`, true},
-		{`[{"s":0}]`, true}, // missing key defaults to 0, same as encoding/json
-		{`[{"s":1,"s":2,"t":3}]`, true},
-		{"", false},
-		{"   \n  ", false},
-		{"0 1 2\n", false},
-		{"0\n", false},
-		{"a b\n", false},
-		{"0 1 # trailing\n", false},
-		{"[[0,1],[2]]", false},
-		{"[[0,1],]", false},
-		{"[[0,1]] extra", false},
-		{`[{"s":0,"x":1}]`, false},
-		{`[{"s":0,"t":1},]`, false},
-		{`[{"t":0"s":0}]`, false}, // members without the comma between them
-		{`[{"s":0 "t":1}]`, false},
-		{"[[0,01]]", false},
-		{"[[0,1.5]]", false},
-		{"[[0,1e2]]", false},
-		{`[{"s":0,"t":1}] [`, false},
-		{"9999999999999999999 1\n", false},
+	cases := []grammarCase{
+		accept("0 1\n2 3\n", pair(0, 1), pair(2, 3)),
+		accept("0 1", pair(0, 1)),
+		accept("  7   9  \n\n# comment\n4 5\r\n", pair(7, 9), pair(4, 5)),
+		accept("-1 +2\n007 8\n", pair(-1, 2), pair(7, 8)),
+		accept("0\v1\f\n", pair(0, 1)),
+		accept("# nothing but a comment\n"),
+		accept(maxInt+" "+minInt, pair(math.MaxInt, math.MinInt)),
+		accept("[[0,1],[2,3]]", pair(0, 1), pair(2, 3)),
+		accept(" [ [ 0 , 1 ] , [ 2 , 3 ] ] ", pair(0, 1), pair(2, 3)),
+		accept("[[-0,1]]", pair(0, 1)),
+		accept("[["+maxInt+","+minInt+"]]", pair(math.MaxInt, math.MinInt)),
+		accept("[]"),
+		accept("[ ]"),
+		accept(`[{"s":0,"t":1},{"t":3,"s":2}]`, pair(0, 1), pair(2, 3)),
+		accept(`[{"s":1,"s":2,"t":3}]`, pair(2, 3)),
+		accept(`[{"s":`+maxInt+`,"t":`+minInt+`}]`, pair(math.MaxInt, math.MinInt)),
+		// A missing or null endpoint must not default to vertex 0: the
+		// point body rejects the same omission.
+		reject(`[{"s":0}]`),
+		reject(`[{"s":1}]`),
+		reject(`[{"s":null,"t":1}]`),
+		reject(`[[null,1]]`),
+		reject(`[{}]`),
+		reject(`[{"S":1,"T":2}]`), // keys are exact: no case folding
+		reject(`[{"\u0073":1,"t":2}]`),
+		reject(""),
+		reject("   \n  "),
+		reject("0 1 2\n"),
+		reject("0\n"),
+		reject("a b\n"),
+		reject("0 1 # trailing\n"),
+		reject("1\u00a02"), // fields split on ASCII whitespace only
+		reject("9999999999999999999 1\n"),
+		reject(overMax + " 1"),
+		reject("1 " + underMin),
+		reject("[[0,1],[2]]"),
+		reject("[[0,1,2]]"),
+		reject("[[]]"),
+		reject("[[0,1],]"),
+		reject("[[0,1]] extra"),
+		reject("[[0,1]]\v"),
+		reject("\v[[0,1]]"),
+		reject(`[{"s":0,"x":1}]`),
+		reject(`[{"s":0,"t":1},]`),
+		reject(`[{"s":0,"t":1,}]`),
+		reject(`[{"t":0"s":0}]`), // members without the comma between them
+		reject(`[{"s":0 "t":1}]`),
+		reject(`[{"s":0,"t":1},[2,3]]`), // the first element picks the shape
+		reject("[[0,01]]"),
+		reject("[[0,1.5]]"),
+		reject("[[0,1e2]]"),
+		reject("[[+1,2]]"),
+		reject("[[" + overMax + ",1]]"),
+		reject("[[1," + underMin + "]]"),
+		reject(`[{"s":0,"t":1}] [`),
+		reject("["),
 	}
-	for _, tc := range cases {
-		fastPairs, ok := parsePairsFast(nil, []byte(tc.in))
-		slowPairs, slowErr := ParsePairs([]byte(tc.in))
-		if ok != tc.wantFast {
-			t.Errorf("parsePairsFast(%q) fast=%v, want %v", tc.in, ok, tc.wantFast)
-		}
-		if !ok {
-			continue
-		}
-		if slowErr != nil {
-			t.Errorf("parsePairsFast(%q) accepted what ParsePairs rejects: %v", tc.in, slowErr)
-			continue
-		}
-		if len(fastPairs) != len(slowPairs) {
-			t.Errorf("parsePairsFast(%q): %d pairs, ParsePairs: %d", tc.in, len(fastPairs), len(slowPairs))
-			continue
-		}
-		for i := range fastPairs {
-			if fastPairs[i] != slowPairs[i] {
-				t.Errorf("parsePairsFast(%q)[%d] = %+v, want %+v", tc.in, i, fastPairs[i], slowPairs[i])
-			}
-		}
-	}
+	checkGrammar(t, "parsePairs", cases, func(in string) ([]dpgraph.VertexPair, error) {
+		return parsePairs(nil, []byte(in))
+	}, "bad JSON pairs: ", "JSON pair ", "line ", ErrNoPairs.Error())
 }
 
-// TestParsePairsFastQuick fuzzes random pair batches through all three
-// wire forms: the fast parser must accept each canonical rendering and
-// agree with ParsePairs exactly.
+// TestParsePairsFastQuick renders random batches over the whole int
+// range in all three batch forms; each must parse back to the same
+// pairs, appended after what dst already holds.
 func TestParsePairsFastQuick(t *testing.T) {
-	f := func(raw []int16) bool {
+	f := func(raw []int) bool {
 		pairs := make([]dpgraph.VertexPair, len(raw)/2)
 		for i := range pairs {
-			pairs[i] = dpgraph.VertexPair{S: int(raw[2*i]), T: int(raw[2*i+1])}
+			pairs[i] = dpgraph.VertexPair{S: raw[2*i], T: raw[2*i+1]}
 		}
 		if len(pairs) == 0 {
 			return true
@@ -186,13 +251,10 @@ func TestParsePairsFastQuick(t *testing.T) {
 			return out
 		}())
 		objs, _ := json.Marshal(pairs)
+		head := []dpgraph.VertexPair{{S: -1, T: -2}}
 		for _, in := range [][]byte{text, tuples, objs} {
-			got, ok := parsePairsFast(nil, in)
-			if !ok {
-				return false
-			}
-			want, err := ParsePairs(in)
-			if err != nil || !reflect.DeepEqual(got, want) {
+			got, err := parsePairs(head[:1:1], in)
+			if err != nil || !slices.Equal(got, append(head[:1:1], pairs...)) {
 				return false
 			}
 		}
@@ -203,44 +265,37 @@ func TestParsePairsFastQuick(t *testing.T) {
 	}
 }
 
-// TestParsePointBodyFastParity checks the point-body fast path against
-// the strict decoder.
+// TestParsePointBodyFastParity is the point-body grammar's
+// accept/reject table (the test kept its name from the fast parser it
+// used to check).
 func TestParsePointBodyFastParity(t *testing.T) {
-	cases := []struct {
-		in       string
-		wantFast bool
-	}{
-		{`{"s":3,"t":17}`, true},
-		{`{"t":17,"s":3}`, true},
-		{` { "s" : -1 , "t" : 0 } `, true},
-		{`{"s":1,"s":2,"t":3}`, true}, // duplicate: last wins, like encoding/json
-		{`{"s":3}`, false},
-		{`{}`, false},
-		{`{"s":3,"t":17,"x":1}`, false},
-		{`{"s":3,"t":17}{"s":1,"t":2}`, false},
-		{`{"s":"3","t":17}`, false},
-		{`{"s":3.5,"t":17}`, false},
-		{`{"s":03,"t":17}`, false},
-		{`[3,17]`, false},
-		{``, false},
+	cases := []grammarCase{
+		accept(`{"s":3,"t":17}`, pair(3, 17)),
+		accept(`{"t":17,"s":3}`, pair(3, 17)),
+		accept(` { "s" : -1 , "t" : 0 } `, pair(-1, 0)),
+		accept(`{"s":1,"s":2,"t":3}`, pair(2, 3)), // duplicate: last wins
+		accept(`{"s":`+maxInt+`,"t":`+minInt+`}`, pair(math.MaxInt, math.MinInt)),
+		reject(`{"s":3}`),
+		reject(`{"t":3}`),
+		reject(`{}`),
+		reject(`{"s":null,"t":1}`),
+		reject(`{"S":1,"T":2}`),
+		reject(`{"\u0073":1,"t":2}`),
+		reject(`{"s":3,"t":17,"x":1}`),
+		reject(`{"s":3,"t":17,}`),
+		reject(`{"s":3,"t":17}{"s":1,"t":2}`),
+		reject(`{"s":"3","t":17}`),
+		reject(`{"s":3.5,"t":17}`),
+		reject(`{"s":03,"t":17}`),
+		reject(`{"s":` + overMax + `,"t":1}`),
+		reject(`{"s":1,"t":` + underMin + `}`),
+		reject(`[3,17]`),
+		reject(``),
 	}
-	for _, tc := range cases {
-		fs, ft, ok := parsePointBodyFast([]byte(tc.in))
-		if ok != tc.wantFast {
-			t.Errorf("parsePointBodyFast(%q) ok=%v, want %v", tc.in, ok, tc.wantFast)
-		}
-		if !ok {
-			continue
-		}
-		ss, st, err := pairFromBytes([]byte(tc.in))
-		if err != nil {
-			t.Errorf("parsePointBodyFast(%q) accepted what the strict decoder rejects: %v", tc.in, err)
-			continue
-		}
-		if fs != ss || ft != st {
-			t.Errorf("parsePointBodyFast(%q) = (%d,%d), strict = (%d,%d)", tc.in, fs, ft, ss, st)
-		}
-	}
+	checkGrammar(t, "parsePointBody", cases, func(in string) ([]dpgraph.VertexPair, error) {
+		p, err := parsePointBody([]byte(in))
+		return []dpgraph.VertexPair{p}, err
+	}, "bad pair body: ")
 }
 
 // TestReadBodyLimit covers the manual body reader: under, at, and over

@@ -1,14 +1,9 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/dpgraph"
 )
@@ -19,88 +14,12 @@ import (
 // (stdin hint, HTTP status).
 var ErrNoPairs = errors.New("no s-t pairs: want text lines \"s t\" or a JSON array")
 
-// maxPairsLineBytes bounds one text line of pairs input. It matches the
-// 16 MiB line limit graph.ReadText accepts, so a pairs file is never
-// stricter about line length than the graph file next to it (the
-// default 64 KiB bufio.Scanner token limit used to reject long comment
-// lines that the graph loader took happily).
-const maxPairsLineBytes = 16 * 1024 * 1024
-
 // ParsePairs decodes a batch of s-t query pairs from text lines "s t"
-// or a JSON array ([[s,t], ...] or [{"s":..,"t":..}, ...]), sniffing
-// the format. Both JSON forms reject trailing content after the array,
-// and the object form rejects unknown keys, so a misspelled field or a
-// concatenated second document errors instead of being silently
-// accepted. It is shared by the CLI query subcommand (stdin) and the
-// HTTP batch-distance handler (request body).
+// or a JSON array ([[s,t], ...] or [{"s":..,"t":..}, ...]), with the
+// grammar documented in fastjson.go. It is the CLI query subcommand's
+// stdin reader over the parser the HTTP batch handler uses.
 func ParsePairs(data []byte) ([]dpgraph.VertexPair, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, ErrNoPairs
-	}
-	if strings.HasPrefix(trimmed, "[") {
-		if rest := strings.TrimSpace(trimmed[1:]); strings.HasPrefix(rest, "{") {
-			// Object form: reject unknown keys so a misspelled field
-			// ({"src":3}) errors instead of silently querying (0, 0).
-			dec := json.NewDecoder(strings.NewReader(trimmed))
-			dec.DisallowUnknownFields()
-			var objs []dpgraph.VertexPair
-			if err := dec.Decode(&objs); err != nil {
-				return nil, fmt.Errorf("bad JSON pairs: %w", err)
-			}
-			// json.Decoder stops after the first value; anything left
-			// over is a second document, not trailing whitespace.
-			if err := rejectTrailing(dec); err != nil {
-				return nil, err
-			}
-			return objs, nil
-		}
-		// Tuple form: json.Unmarshal rejects trailing content itself.
-		var tuples [][]int
-		if err := json.Unmarshal([]byte(trimmed), &tuples); err != nil {
-			return nil, fmt.Errorf("bad JSON pairs: %w", err)
-		}
-		pairs := make([]dpgraph.VertexPair, len(tuples))
-		for i, tu := range tuples {
-			if len(tu) != 2 {
-				return nil, fmt.Errorf("JSON pair %d has %d elements, want 2", i, len(tu))
-			}
-			pairs[i] = dpgraph.VertexPair{S: tu[0], T: tu[1]}
-		}
-		return pairs, nil
-	}
-	var pairs []dpgraph.VertexPair
-	sc := bufio.NewScanner(strings.NewReader(trimmed))
-	sc.Buffer(make([]byte, 0, 64*1024), maxPairsLineBytes)
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("line %d: want \"s t\", got %q", lineNo, line)
-		}
-		s, err1 := strconv.Atoi(fields[0])
-		t, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("line %d: bad pair %q", lineNo, line)
-		}
-		pairs = append(pairs, dpgraph.VertexPair{S: s, T: t})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return pairs, nil
-}
-
-// rejectTrailing errors when dec's input holds anything but whitespace
-// after the value already decoded.
-func rejectTrailing(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("bad JSON pairs: trailing content after the array")
-	}
-	return nil
+	return parsePairs(nil, data)
 }
 
 // PairAnswer is one answered s-t query, the wire unit shared by the

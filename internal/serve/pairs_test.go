@@ -45,6 +45,10 @@ func TestServeParsePairs(t *testing.T) {
 		`[[1]]`,
 		`[[1,2,3]]`,
 		`[`,
+		// A missing or null endpoint must not default to vertex 0.
+		`[{"s":1}]`,
+		`[{"s":null,"t":1}]`,
+		`[[null,1]]`,
 		"1\n",
 		"1 2 3\n",
 		"a b\n",
@@ -63,9 +67,8 @@ func TestServeParsePairs(t *testing.T) {
 	}
 }
 
-// TestServeParsePairsLongLine checks that text input accepts lines past
-// the 64 KiB default bufio.Scanner token limit, matching the 16 MiB
-// graph.ReadText allows (a long comment line used to abort the batch).
+// TestServeParsePairsLongLine checks that a text line is bounded only
+// by the input itself: a 200 KiB comment line does not abort the batch.
 func TestServeParsePairsLongLine(t *testing.T) {
 	in := "# " + strings.Repeat("x", 200*1024) + "\n5 6\n"
 	got, err := ParsePairs([]byte(in))

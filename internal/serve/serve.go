@@ -35,7 +35,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/json"
 	"errors"
@@ -391,20 +390,14 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	var sv, tv int
+	var p dpgraph.VertexPair
 	var err error
 	if r.Method == http.MethodGet {
-		var fast bool
-		if sv, tv, fast = scanQueryPair(r.URL.RawQuery); !fast {
-			sv, tv, err = pairFromQuery(r)
-		}
+		p, err = parseQueryPair(r.URL.RawQuery)
 	} else {
 		ws.body, err = readBodyLimit(ws.body[:0], r.Body, s.cfg.MaxBodyBytes)
 		if err == nil {
-			var fast bool
-			if sv, tv, fast = parsePointBodyFast(ws.body); !fast {
-				sv, tv, err = pairFromBytes(ws.body)
-			}
+			p, err = parsePointBody(ws.body)
 		}
 	}
 	if err != nil {
@@ -417,14 +410,14 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rel.done()
 	start := time.Now()
-	d, err := rel.oracle.Distance(sv, tv)
+	d, err := rel.oracle.Distance(p.S, p.T)
 	if err != nil {
 		rel.metrics.errors.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rel.metrics.observe(1, time.Since(start))
-	ws.buf = appendPairAnswer(ws.buf[:0], sv, tv, d)
+	ws.buf = appendPairAnswer(ws.buf[:0], p.S, p.T, d)
 	setContentTypeJSON(w.Header())
 	w.WriteHeader(http.StatusOK)
 	w.Write(ws.buf) //nolint:errcheck // the response is already committed
@@ -457,13 +450,8 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	var pairs []dpgraph.VertexPair
-	var fast bool
-	if ws.pairs, fast = parsePairsFast(ws.pairs[:0], ws.body); fast {
-		pairs = ws.pairs
-	} else {
-		pairs, err = ParsePairs(ws.body)
-	}
+	ws.pairs, err = parsePairs(ws.pairs[:0], ws.body)
+	pairs := ws.pairs
 	if err == nil && len(pairs) == 0 {
 		err = ErrNoPairs
 	}
@@ -607,41 +595,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Totals.CacheMisses += snap.CacheMisses
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// pairFromQuery reads s and t from URL query parameters.
-func pairFromQuery(r *http.Request) (s, t int, err error) {
-	q := r.URL.Query()
-	s, err1 := strconv.Atoi(q.Get("s"))
-	t, err2 := strconv.Atoi(q.Get("t"))
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("want integer query parameters s and t, got s=%q t=%q", q.Get("s"), q.Get("t"))
-	}
-	return s, t, nil
-}
-
-// pairFromBytes reads one {"s":..,"t":..} object from an already-read
-// request body — the strict fallback behind parsePointBodyFast, owning
-// all error reporting. Both keys must be present: an omitted endpoint
-// would otherwise silently default to vertex 0 and answer the wrong
-// query.
-func pairFromBytes(data []byte) (s, t int, err error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var p struct {
-		S *int `json:"s"`
-		T *int `json:"t"`
-	}
-	if err := dec.Decode(&p); err != nil {
-		return 0, 0, fmt.Errorf("bad pair body: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return 0, 0, fmt.Errorf("bad pair body: trailing content after the JSON object")
-	}
-	if p.S == nil || p.T == nil {
-		return 0, 0, fmt.Errorf(`bad pair body: want both "s" and "t"`)
-	}
-	return *p.S, *p.T, nil
 }
 
 // writeBodyError maps a request decoding failure onto its status:

@@ -321,6 +321,11 @@ func TestServeHandlerErrors(t *testing.T) {
 		{"POST", "/v1/releases/main/distances", `[{"s":0,"t":1}] [[1,2]]`, 400},
 		{"POST", "/v1/releases/main/distances", `[[0,99]]`, 400},
 		{"POST", "/v1/releases/main/distances", `[[0,1,2]]`, 400},
+		{"POST", "/v1/releases/main/distances", `[{"s":1}]`, 400}, // a missing or null endpoint must not default to vertex 0
+		{"POST", "/v1/releases/main/distances", `[{"s":null,"t":1}]`, 400},
+		{"POST", "/v1/releases/main/distances", `[[null,1]]`, 400},
+		{"POST", "/v1/releases/main/distances", `[[9223372036854775807,1]]`, 400}, // parses; the oracle's range check refuses it
+		{"POST", "/v1/releases/main/distance", `{"s":9223372036854775807,"t":1}`, 400},
 		{"GET", "/v1/nothing", "", 404},
 	}
 	for _, c := range cases {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"repro/dpgraph"
 )
 
 // streamBatchMax bounds how many pending stream queries are answered in
@@ -92,20 +90,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	lineNo := 0
-	for {
+	for lineNo := 1; ; lineNo++ {
 		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
 			flush()
-			fail(fmt.Errorf("stream line %d exceeds %d bytes", lineNo+1, streamLineMax))
+			fail(fmt.Errorf("stream line %d exceeds %d bytes", lineNo, streamLineMax))
 			break
 		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 && trimmed[0] != '#' {
-			lineNo++
-			p, ok := parseStreamLine(trimmed)
+		if p, skip, ok := parseTextLine(line); !skip {
 			if !ok || !rel.inRange(p.S, p.T) {
 				flush()
-				fail(fmt.Errorf("stream line %d: want \"s t\" with vertices in [0, %d), got %q", lineNo, rel.oracle.N(), trimmed))
+				fail(fmt.Errorf("stream line %d: want \"s t\" with vertices in [0, %d), got %q", lineNo, rel.oracle.N(), bytes.Trim(line, textSpace)))
 				break
 			}
 			pairs = append(pairs, p)
@@ -127,28 +122,4 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ws.pairs, ws.vals, ws.buf = pairs[:0], vals, buf
-}
-
-// parseStreamLine decodes one trimmed "s t" stream line.
-func parseStreamLine(line []byte) (dpgraph.VertexPair, bool) {
-	k := 0
-	for k < len(line) && !isTextSpace(line[k]) {
-		k++
-	}
-	f0 := line[:k]
-	for k < len(line) && isTextSpace(line[k]) {
-		k++
-	}
-	rest := line[k:]
-	for _, c := range rest {
-		if isTextSpace(c) {
-			return dpgraph.VertexPair{}, false
-		}
-	}
-	s, ok1 := parseATOI(f0)
-	t, ok2 := parseATOI(rest)
-	if !ok1 || !ok2 {
-		return dpgraph.VertexPair{}, false
-	}
-	return dpgraph.VertexPair{S: s, T: t}, true
 }

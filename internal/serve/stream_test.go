@@ -65,10 +65,12 @@ func TestServeStreamBadLine(t *testing.T) {
 	for _, tc := range []struct {
 		body        string
 		wantAnswers int
+		wantLine    string
 	}{
-		{"0 15\nbogus line\n1 2\n", 1}, // malformed second line
-		{"0 99\n", 0},                  // out of range
-		{"0 1 2\n", 0},                 // three fields
+		{"0 15\nbogus line\n1 2\n", 1, "stream line 2:"},   // malformed second line
+		{"0 99\n", 0, "stream line 1:"},                    // out of range
+		{"0 1 2\n", 0, "stream line 1:"},                   // three fields
+		{"# header\n\n0 15\nbogus\n", 1, "stream line 4:"}, // blank and comment lines count, as in a batch
 	} {
 		resp, err := http.Post(ts.URL+"/v1/releases/main/distances:stream", "text/plain", strings.NewReader(tc.body))
 		if err != nil {
@@ -91,8 +93,8 @@ func TestServeStreamBadLine(t *testing.T) {
 		}
 		var env errorEnvelope
 		last := lines[len(lines)-1]
-		if err := json.Unmarshal([]byte(last), &env); err != nil || env.Error == "" {
-			t.Errorf("stream %q final line = %s, want an error envelope", tc.body, last)
+		if err := json.Unmarshal([]byte(last), &env); err != nil || !strings.HasPrefix(env.Error, tc.wantLine) {
+			t.Errorf("stream %q final line = %s, want an error envelope naming %q", tc.body, last, tc.wantLine)
 		}
 	}
 }

@@ -14,8 +14,10 @@
 #    on PATH. Offline dev boxes skip them with a notice; CI sets
 #    STATIC_STRICT=1 to turn a missing binary into a failure.
 # 3. Fuzz smoke: FuzzUnseal (sealed-artifact decoder) and
-#    FuzzParsePairs (fast/strict pair-parser differential) run their
-#    checked-in testdata corpora plus a short -fuzztime budget.
+#    FuzzParsePairs (the query-string, point-body and batch parsers
+#    checked against encoding/json, url.ParseQuery and strconv
+#    references) run their checked-in testdata corpora plus a short
+#    -fuzztime budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
