@@ -36,7 +36,7 @@
 //     graph; vs the true weights a k-hop answer errs by at most k times
 //     the per-edge noise bound. Works on any topology. With
 //     WithQueryIndex the oracle serves from a precomputed contraction
-//     hierarchy or landmark index plus a sharded result cache — built
+//     hierarchy or landmark index plus a lock-free result cache — built
 //     once per release, identical answers, orders of magnitude faster
 //     on large graphs (pure post-processing: zero extra budget).
 //   - TreeSSSPResult.Oracle / TreeAPSDResult.Oracle (TreeSingleSource,

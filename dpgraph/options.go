@@ -185,7 +185,7 @@ func ParseQueryIndexMode(s string) (QueryIndexMode, error) {
 // precomputed speedup index over the released weights, once per
 // release, instead of running a full Dijkstra per query. Lookup-backed
 // oracles (tree, hierarchy, table) are O(1)-ish already and ignore the
-// mode. Indexed oracles additionally share a lock-striped s-t result
+// mode. Indexed oracles additionally share a lock-free s-t result
 // cache, so repeated pairs are answered without any search at all.
 //
 // IndexCH, IndexALT, and IndexHL require an undirected topology

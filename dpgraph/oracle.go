@@ -126,7 +126,7 @@ func (o *lookupOracle) Bound(gamma float64) float64 { return o.bound(gamma) }
 // syntheticOracle answers queries over a released (clamped) weight
 // vector — by the pooled zero-alloc Dijkstra engine in internal/graph,
 // or, when the session requested a query index, through a precomputed
-// contraction-hierarchy/landmark structure plus a sharded s-t result
+// contraction-hierarchy/landmark structure plus a lock-free s-t result
 // cache. The weights were clamped nonnegative at construction, so the
 // unindexed path takes the trusted engine entry points and skips the
 // O(E) validation scan.

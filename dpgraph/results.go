@@ -210,7 +210,7 @@ type SyntheticGraph struct {
 // search over the released weights (clamped at zero). By default that
 // is the pooled zero-allocation Dijkstra engine; under the session's
 // WithQueryIndex mode the oracle instead builds a precomputed speedup
-// index (contraction hierarchy or landmark A*) once, plus a sharded
+// index (contraction hierarchy or landmark A*) once, plus a lock-free
 // s-t result cache — identical answers, orders of magnitude faster on
 // large graphs. Answers are exact shortest paths of the synthetic
 // graph; against the true weights a k-hop answer errs by at most k

@@ -9,11 +9,11 @@ import (
 )
 
 // The 0-alloc perf guards (#2 block sampling, #7 CH/HL point-query
-// kernels, #8 zero-allocation serving) and the //dpvet:hotpath static
-// guard must name the same set of functions: a function benched to 0
-// allocs/op but not annotated can regress between bench runs, and an
-// annotation with no bench behind it overstates the guarantee. This test
-// greps both sides.
+// kernels and the result cache, #8 zero-allocation serving) and the
+// //dpvet:hotpath static guard must name the same set of functions: a
+// function benched to 0 allocs/op but not annotated can regress between
+// bench runs, and an annotation with no bench behind it overstates the
+// guarantee. This test greps both sides.
 
 // guardedFunctions maps each annotated source file to the functions the
 // perf guards hold allocation-free. Adding a hot function to a guard
@@ -22,6 +22,10 @@ var guardedFunctions = map[string][]string{
 	"internal/dp/noise.go": {
 		// guard #2: BenchmarkFillLaplace/(crypto|seeded)
 		"laplaceFromRand", "uniform", "laplace", "FillLaplace",
+	},
+	"internal/graph/index/cache.go": {
+		// guard #7: BenchmarkPairCache/(hit|miss)
+		"locate", "Get", "read", "Put",
 	},
 	"internal/graph/index/ch.go": {
 		// guard #7: BenchmarkIndexDistance/ch
@@ -50,6 +54,7 @@ var guardedFunctions = map[string][]string{
 var guardMarkers = []string{
 	"BenchmarkFillLaplace/(crypto|seeded)",
 	"BenchmarkIndexDistance",
+	"BenchmarkPairCache",
 	"TestServeDistanceZeroAlloc|TestServeDistancesZeroAlloc",
 }
 

@@ -91,3 +91,40 @@ func BenchmarkIndexDistance(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPairCache times one result-cache lookup: hit reads pairs
+// stored beforehand, miss looks up and then stores pairs never seen.
+// scripts/check_perf_guards.sh gate #7 holds both to 0 allocs/op.
+func BenchmarkPairCache(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		c := NewPairCache(0)
+		var keys []int
+		for k := 0; k < 4096; k++ {
+			c.Put(k, k+1, float64(k))
+		}
+		for k := 0; k < 4096; k++ {
+			if _, ok := c.Get(k, k+1); ok { // a later pair may share the slot
+				keys = append(keys, k)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			if _, ok := c.Get(k, k+1); !ok {
+				b.Fatalf("Get(%d, %d) missed", k, k+1)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := NewPairCache(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(i, i+1); ok {
+				b.Fatalf("Get(%d, %d) hit before its Put", i, i+1)
+			}
+			c.Put(i, i+1, float64(i))
+		}
+	})
+}

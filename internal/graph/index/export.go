@@ -77,6 +77,9 @@ func Rehydrate(g *graph.Graph, w []float64, f *FlatIndex) (Index, error) {
 	if len(w) != g.M() {
 		return nil, fmt.Errorf("index: weight vector has %d entries for %d edges", len(w), g.M())
 	}
+	if err := checkSize(g.N(), g.M()); err != nil {
+		return nil, err
+	}
 	if g.Directed() {
 		return nil, fmt.Errorf("index: rehydration supports undirected topologies only")
 	}

@@ -157,6 +157,9 @@ func Build(g *graph.Graph, w []float64, opt Options) (Index, error) {
 	if len(w) != g.M() {
 		return nil, fmt.Errorf("index: weight vector has %d entries for %d edges", len(w), g.M())
 	}
+	if err := checkSize(g.N(), g.M()); err != nil {
+		return nil, err
+	}
 	if g.Directed() {
 		if opt.Mode == Auto {
 			return nil, nil
@@ -222,6 +225,20 @@ type prepared struct {
 	to   []int32   // neighbor per half-edge
 	wt   []float64 // weight per half-edge
 	comp []int32   // component label per vertex
+}
+
+// checkSize rejects a graph of n vertices and m edges whose vertex ids
+// or half-edge offsets would overflow the int32 arrays every index
+// holds. The bound also makes PairCache's packed (s, t) key exact for
+// every pair an index answers.
+func checkSize(n, m int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("index: %d vertices overflow int32 vertex ids", n)
+	}
+	if m > math.MaxInt32/2 {
+		return fmt.Errorf("index: %d edges overflow int32 half-edge offsets", m)
+	}
+	return nil
 }
 
 // prepare collapses the multigraph into the simplified CSR via one

@@ -22,7 +22,7 @@
 #    the release as contraction stood before it got ~2x faster.
 # 7. Hub labeling: on the same >= 100k-edge grid, a hub-label point
 #    query must beat the CH bidirectional search >= 5x, and both point
-#    queries must be allocation-free. Building the labels from a finished hierarchy must take <= 140x
+#    queries and result-cache lookups must be allocation-free. Building the labels from a finished hierarchy must take <= 140x
 #    the time of one full Dijkstra over the same grid.
 # 8. Zero-allocation serving + same-source throughput: the point and
 #    batch HTTP handlers must report 0 allocs/op steady-state; a real
@@ -139,7 +139,8 @@ fi
 # versus the CH bidirectional search. -count=2 with a best-of ratio
 # de-flakes the gate; measured ~70x against the 5x bound. Both point
 # queries (ch.go's Distance over the search.go kernel, and hl.go's
-# label merge) must also be allocation-free.
+# label merge) must also be allocation-free, and so must the result
+# cache the oracle puts in front of them.
 out=$(go test -bench '^BenchmarkIndexDistance$/^(ch|hl)$' \
     -benchmem -benchtime=50x -count=2 -run '^$' ./internal/graph/index)
 echo "$out"
@@ -166,6 +167,20 @@ if [ -n "$bad" ]; then
     fail=1
 else
     echo "OK: CH and hub-label point queries report 0 allocs/op"
+fi
+out=$(go test -bench '^BenchmarkPairCache$' -benchmem -benchtime=100000x -run '^$' ./internal/graph/index)
+echo "$out"
+bad=$(echo "$out" | awk '$1 ~ /^BenchmarkPairCache\// && $(NF) == "allocs/op" && $(NF-1)+0 > 0')
+if [ "$(echo "$out" | grep -c '^BenchmarkPairCache/')" -ne 2 ]; then
+    echo "FAIL: could not parse the BenchmarkPairCache output" >&2
+    fail=1
+elif [ -n "$bad" ]; then
+    echo >&2
+    echo "FAIL: result-cache lookups must be allocation-free:" >&2
+    echo "$bad" >&2
+    fail=1
+else
+    echo "OK: result-cache hits and misses report 0 allocs/op"
 fi
 
 # Build leg: label generation alone (BenchmarkBuildHL, hierarchy built
