@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/dp"
 	"repro/internal/graph"
@@ -113,10 +112,7 @@ func Seal(w io.Writer, oracle DistanceOracle, result Result, opts ...SealOption)
 	if !ok {
 		return ErrNotSealable
 	}
-	n, m := o.g.N(), o.g.M()
-	if uint64(n) > math.MaxUint32 || uint64(m) > math.MaxUint32 {
-		return fmt.Errorf("dpgraph: release too large to seal: %d vertices, %d edges (format caps both at 2^32)", n, m)
-	}
+	n, m := o.g.N(), o.g.M() // snapshot.Write refuses counts past 2^32
 	ri := result.Info()
 	receiptJSON, err := json.Marshal(ri.Receipt)
 	if err != nil {
@@ -148,11 +144,7 @@ func Seal(w io.Writer, oracle DistanceOracle, result Result, opts ...SealOption)
 		if err != nil {
 			return fmt.Errorf("dpgraph: exporting query index: %w", err)
 		}
-		art.Meta.Index = flat.Kind
-		art.Meta.Landmarks = flat.Landmarks
-		art.CHUpOff, art.CHUpTo, art.CHUpWt = flat.UpOff, flat.UpTo, flat.UpWt
-		art.ALTLandmarks = flat.LD
-		art.HLLabOff, art.HLLabHub, art.HLLabDist = flat.LabOff, flat.LabHub, flat.LabDist
+		art.SetIndex(flat)
 	}
 	return snapshot.Write(w, art, snapshot.WriteOptions{SigningKey: cfg.signingKey})
 }
@@ -275,18 +267,7 @@ func Unseal(r io.Reader, opts ...UnsealOption) (*Sealed, error) {
 			return float64(hops) * dp.UnionTailBound(noiseScale, m, gamma)
 		},
 	}
-	if meta.Index != "" {
-		flat := &index.FlatIndex{
-			Kind:      meta.Index,
-			UpOff:     art.CHUpOff,
-			UpTo:      art.CHUpTo,
-			UpWt:      art.CHUpWt,
-			Landmarks: meta.Landmarks,
-			LD:        art.ALTLandmarks,
-			LabOff:    art.HLLabOff,
-			LabHub:    art.HLLabHub,
-			LabDist:   art.HLLabDist,
-		}
+	if flat := art.Index(); flat != nil {
 		idx, err := index.Rehydrate(g, o.w, flat)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidSnapshot, err)

@@ -271,6 +271,29 @@ func TestUnsealFormatVersion2HubLabels(t *testing.T) {
 	}
 }
 
+// TestSealRefusesWhatUnsealRefuses: a forced-ALT release on a graph
+// with no vertices has no landmarks, which the reader refuses. Seal
+// must fail on it rather than write an artifact no replica can read.
+func TestSealRefusesWhatUnsealRefuses(t *testing.T) {
+	pg, err := New(NewGraph(0), PrivateWeights(nil), WithEpsilon(1), WithDeterministicSeed(1), WithQueryIndex(IndexALT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := pg.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = Seal(&buf, rel.Oracle(), rel)
+	if err == nil {
+		_, uerr := Unseal(bytes.NewReader(buf.Bytes()))
+		t.Fatalf("Seal wrote %d bytes that Unseal refuses with %v", buf.Len(), uerr)
+	}
+	if !errors.Is(err, ErrInvalidSnapshot) {
+		t.Fatalf("Seal: err = %v, want ErrInvalidSnapshot", err)
+	}
+}
+
 // TestSealRejectsNonSealable: lookup-backed oracles have no flat-array
 // form and must be refused, not mis-serialized.
 func TestSealRejectsNonSealable(t *testing.T) {

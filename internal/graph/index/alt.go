@@ -15,9 +15,10 @@ import (
 // triangle inequality makes admissible and consistent on an undirected
 // graph.
 
-// maxLandmarks bounds the landmark count so per-query scratch stays a
-// fixed-size array.
-const maxLandmarks = 32
+// MaxLandmarks bounds the landmark count so per-query scratch stays a
+// fixed-size array. A sealed artifact declaring more is refused when
+// read, since no ALT index could serve it.
+const MaxLandmarks = 32
 
 type altIndex struct {
 	n    int
@@ -36,7 +37,7 @@ type altIndex struct {
 
 type altWork struct {
 	st *searchState
-	lt [maxLandmarks]float64 // per-query landmark-to-target distances
+	lt [MaxLandmarks]float64 // per-query landmark-to-target distances
 }
 
 func (a *altIndex) N() int       { return a.n }
@@ -47,8 +48,8 @@ func buildALT(p *prepared) *altIndex {
 	n := p.n
 	a := &altIndex{n: n, comp: p.comp, off: p.off, to: p.to, wt: p.wt}
 	k := altLandmarks
-	if k > maxLandmarks {
-		k = maxLandmarks
+	if k > MaxLandmarks {
+		k = MaxLandmarks
 	}
 	if k > n {
 		k = n

@@ -191,8 +191,8 @@ func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 func rehydrateALT(p *prepared, f *FlatIndex) (Index, error) {
 	n := p.n
 	k := f.Landmarks
-	if k < 0 || k > maxLandmarks {
-		return nil, fmt.Errorf("index: ALT landmark count %d outside [0, %d]", k, maxLandmarks)
+	if k < 0 || k > MaxLandmarks {
+		return nil, fmt.Errorf("index: ALT landmark count %d outside [0, %d]", k, MaxLandmarks)
 	}
 	if len(f.LD) != k*n {
 		return nil, fmt.Errorf("index: ALT distance rows have %d entries for %d landmarks x %d vertices", len(f.LD), k, n)

@@ -137,7 +137,7 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		},
 		"too-many-landmarks": func() *FlatIndex {
 			f := altFlat()
-			f.Landmarks = maxLandmarks + 1
+			f.Landmarks = MaxLandmarks + 1
 			return f
 		},
 		"short-ld-rows":            func() *FlatIndex { f := altFlat(); f.LD = f.LD[:len(f.LD)-1]; return f },

@@ -120,7 +120,7 @@ type Options struct {
 // Build tuning, fixed for every caller.
 const (
 	// altLandmarks is the ALT landmark count (clamped to N and to
-	// maxLandmarks).
+	// MaxLandmarks).
 	altLandmarks = 8
 	// witnessSettleLimit caps the vertices one CH witness search may
 	// settle. Exhausting it inserts the shortcut, which preserves

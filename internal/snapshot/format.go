@@ -22,6 +22,28 @@
 //	...        signature       ed25519 over the manifest bytes (0 or
 //	                           64 bytes)
 //
+// Sections appear in strictly increasing kind order, meta first. The
+// section table below (sectionTable) is the one statement of what each
+// kind holds, and Write, Read and the checks they share all loop over
+// it:
+//
+//	kind  name           element  length (elements)        carried by
+//	1     meta           JSON     the Meta document         every artifact
+//	2     edge_from      uint32   M                         every artifact
+//	3     edge_to        uint32   M                         every artifact
+//	4     weights        float64  M                         every artifact
+//	5     ch_up_off      int32    N+1                       ch; hl at version 2
+//	6     ch_up_to       int32    ch_up_off[N]              ch; hl at version 2
+//	7     ch_up_wt       float64  ch_up_off[N]              ch; hl at version 2
+//	8     alt_landmarks  float64  landmarks × N             alt
+//	9     hl_lab_off     int64    N+1                       hl (version 2+)
+//	10    hl_lab_hub     int32    hl_lab_off[N]             hl (version 2+)
+//	11    hl_lab_dist    float64  hl_lab_off[N]             hl (version 2+)
+//
+// A version-2 "hl" artifact also carried the hierarchy its labels were
+// built from; the reader verifies those sections' digests, then drops
+// them. Version 3 seals "hl" as its labels alone.
+//
 // The manifest is the root of trust: it embeds each section's digest,
 // so the detached signature over the manifest bytes authenticates the
 // entire artifact, and the reader rejects any divergence between the
@@ -35,13 +57,17 @@
 // misplaced sections, digest mismatch, missing or invalid signature,
 // metadata that disagrees with the embedded arrays, trailing garbage —
 // fails with an error wrapping ErrInvalid before the caller sees any
-// data.
+// data. Write applies the same meta and length rules, so it cannot
+// emit an artifact Read refuses.
 package snapshot
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+
+	"repro/internal/graph/index"
 )
 
 // Container constants. The magic doubles as a format fingerprint: the
@@ -75,56 +101,121 @@ const (
 	// an attack, not a release.
 	maxMetaLen     = 1 << 20
 	maxManifestLen = 1 << 20
+
+	// sectionMeta is the kind of the meta section, which must come
+	// first so every later section's length is known before it arrives.
+	sectionMeta = 1
 )
 
-// Section kinds, in their mandatory file order. Kinds are strictly
-// increasing within an artifact, and the meta section always comes
-// first so the reader knows the expected shape of every later section
-// before reaching it.
-const (
-	sectionMeta         = 1 // JSON Meta document
-	sectionEdgeFrom     = 2 // uint32 per edge: source vertex
-	sectionEdgeTo       = 3 // uint32 per edge: target vertex
-	sectionWeights      = 4 // float64 per edge: released (clamped) weight
-	sectionCHUpOff      = 5 // int32 x (N+1): CH upward CSR offsets
-	sectionCHUpTo       = 6 // int32 per upward edge: CH target
-	sectionCHUpWt       = 7 // float64 per upward edge: CH weight
-	sectionALTLandmarks = 8 // float64 x (landmarks*N): ALT distance rows
+// sectionSpec is one row of the section table.
+type sectionSpec struct {
+	kind uint32
+	name string
+	// carried reports whether an artifact with meta m has the section.
+	carried func(m *Meta) bool
+	// count is the section's exact element count, from meta and the
+	// arrays of earlier sections; ok is false when those fix none.
+	count func(a *Artifact) (n uint64, ok bool)
+	// array points at the artifact's slice for the section: a
+	// *[]uint32, *[]int32, *[]int64 or *[]float64. Nil for meta.
+	array func(a *Artifact) any
+}
 
-	// Hub-label sections (format version 2+).
-	sectionHLLabOff  = 9  // int64 x (N+1): label arena offsets
-	sectionHLLabHub  = 10 // int32 per label entry: hub vertex
-	sectionHLLabDist = 11 // float64 per label entry: hub distance
-)
+// sectionTable lists every section kind in file order; see the package
+// comment for the same table in prose.
+var sectionTable = [...]sectionSpec{
+	{kind: sectionMeta, name: "meta", carried: always},
+	{kind: 2, name: "edge_from", carried: always, count: edgeCount, array: func(a *Artifact) any { return &a.EdgeFrom }},
+	{kind: 3, name: "edge_to", carried: always, count: edgeCount, array: func(a *Artifact) any { return &a.EdgeTo }},
+	{kind: 4, name: "weights", carried: always, count: edgeCount, array: func(a *Artifact) any { return &a.Weights }},
+	{kind: 5, name: "ch_up_off", carried: carriesCH, count: offsetCount, array: func(a *Artifact) any { return &a.CHUpOff }},
+	{kind: 6, name: "ch_up_to", carried: carriesCH, count: chArcs, array: func(a *Artifact) any { return &a.CHUpTo }},
+	{kind: 7, name: "ch_up_wt", carried: carriesCH, count: chArcs, array: func(a *Artifact) any { return &a.CHUpWt }},
+	{kind: 8, name: "alt_landmarks", carried: indexIs("alt"), count: landmarkRows, array: func(a *Artifact) any { return &a.ALTLandmarks }},
+	{kind: 9, name: "hl_lab_off", carried: indexIs("hl"), count: offsetCount, array: func(a *Artifact) any { return &a.HLLabOff }},
+	{kind: 10, name: "hl_lab_hub", carried: indexIs("hl"), count: hlEntries, array: func(a *Artifact) any { return &a.HLLabHub }},
+	{kind: 11, name: "hl_lab_dist", carried: indexIs("hl"), count: hlEntries, array: func(a *Artifact) any { return &a.HLLabDist }},
+}
 
-// sectionName maps a kind to its manifest name; unknown kinds have no
-// name and are rejected by the reader.
-func sectionName(kind uint32) string {
-	switch kind {
-	case sectionMeta:
-		return "meta"
-	case sectionEdgeFrom:
-		return "edge_from"
-	case sectionEdgeTo:
-		return "edge_to"
-	case sectionWeights:
-		return "weights"
-	case sectionCHUpOff:
-		return "ch_up_off"
-	case sectionCHUpTo:
-		return "ch_up_to"
-	case sectionCHUpWt:
-		return "ch_up_wt"
-	case sectionALTLandmarks:
-		return "alt_landmarks"
-	case sectionHLLabOff:
-		return "hl_lab_off"
-	case sectionHLLabHub:
-		return "hl_lab_hub"
-	case sectionHLLabDist:
-		return "hl_lab_dist"
+func always(*Meta) bool { return true }
+
+func indexIs(kind string) func(*Meta) bool {
+	return func(m *Meta) bool { return m.Index == kind }
+}
+
+// carriesCH: a "ch" index, or an "hl" index sealed at format version
+// 2, which also stored the hierarchy its labels were built from.
+func carriesCH(m *Meta) bool {
+	return m.Index == "ch" || (m.Index == "hl" && m.FormatVersion == 2)
+}
+
+func edgeCount(a *Artifact) (uint64, bool)   { return uint64(a.Meta.M), true }
+func offsetCount(a *Artifact) (uint64, bool) { return uint64(a.Meta.N) + 1, true }
+func landmarkRows(a *Artifact) (uint64, bool) {
+	return uint64(a.Meta.Landmarks) * uint64(a.Meta.N), true
+}
+func chArcs(a *Artifact) (uint64, bool)    { return arenaLen(a.CHUpOff, a.Meta.N) }
+func hlEntries(a *Artifact) (uint64, bool) { return arenaLen(a.HLLabOff, a.Meta.N) }
+
+// arenaLen is the entry count an offset array fixes: its last entry,
+// provided the array has its N+1 entries and that entry is not
+// negative.
+func arenaLen[T int32 | int64](off []T, n int) (uint64, bool) {
+	if len(off) != n+1 || off[n] < 0 {
+		return 0, false
 	}
-	return ""
+	return uint64(off[n]), true
+}
+
+// specOf returns the table row of a section kind, or nil for a kind
+// no version of the format defines.
+func specOf(kind uint32) *sectionSpec {
+	for i := range sectionTable {
+		if sectionTable[i].kind == kind {
+			return &sectionTable[i]
+		}
+	}
+	return nil
+}
+
+// size is the exact byte length of the section in artifact a, whose
+// meta and earlier arrays are already known: the rule Write checks an
+// array against and Read checks a table entry against.
+func (s *sectionSpec) size(a *Artifact) (uint64, error) {
+	if !s.carried(&a.Meta) {
+		return 0, invalidf("%s section present but meta declares index %q", s.name, a.Meta.Index)
+	}
+	n, ok := s.count(a)
+	width := elemWidth(s.array(a))
+	if !ok || n > math.MaxInt64/width {
+		return 0, invalidf("%s section has no valid length: its offsets are missing or end out of range", s.name)
+	}
+	return n * width, nil
+}
+
+// elemWidth is the encoded byte width of one element of the slice p
+// points at.
+func elemWidth(p any) uint64 {
+	switch p.(type) {
+	case *[]uint32, *[]int32:
+		return 4
+	}
+	return 8
+}
+
+// arrayLen is the element count of the slice p points at.
+func arrayLen(p any) int {
+	switch s := p.(type) {
+	case *[]uint32:
+		return len(*s)
+	case *[]int32:
+		return len(*s)
+	case *[]int64:
+		return len(*s)
+	case *[]float64:
+		return len(*s)
+	}
+	panic(fmt.Sprintf("snapshot: section array of type %T", p))
 }
 
 // Sentinel errors. Every reader failure wraps ErrInvalid; the more
@@ -210,22 +301,46 @@ type Artifact struct {
 	EdgeTo   []uint32
 	Weights  []float64
 
-	// CHUpOff/CHUpTo/CHUpWt are the contraction-hierarchy upward CSR
-	// (present iff Meta.Index == "ch").
+	// The index arrays, named after their sections; SetIndex and Index
+	// move them to and from index.FlatIndex. CHUpOff/CHUpTo/CHUpWt are
+	// the contraction-hierarchy upward CSR (Meta.Index == "ch").
 	CHUpOff []int32
 	CHUpTo  []int32
 	CHUpWt  []float64
 
 	// ALTLandmarks holds Meta.Landmarks rows of N landmark distances
-	// (present iff Meta.Index == "alt").
+	// (Meta.Index == "alt").
 	ALTLandmarks []float64
 
-	// HLLabOff/HLLabHub/HLLabDist are the hub-label arena (present iff
-	// Meta.Index == "hl"): vertex v's label is
+	// HLLabOff/HLLabHub/HLLabDist are the hub-label arena (Meta.Index
+	// == "hl"): vertex v's label is
 	// HLLabHub/HLLabDist[HLLabOff[v]:HLLabOff[v+1]], hubs ascending.
 	HLLabOff  []int64
 	HLLabHub  []int32
 	HLLabDist []float64
+}
+
+// SetIndex stores f's kind and arrays in the artifact; the slices are
+// aliased, not copied.
+func (a *Artifact) SetIndex(f *index.FlatIndex) {
+	a.Meta.Index, a.Meta.Landmarks = f.Kind, f.Landmarks
+	a.CHUpOff, a.CHUpTo, a.CHUpWt = f.UpOff, f.UpTo, f.UpWt
+	a.ALTLandmarks = f.LD
+	a.HLLabOff, a.HLLabHub, a.HLLabDist = f.LabOff, f.LabHub, f.LabDist
+}
+
+// Index returns the artifact's index arrays in the form
+// index.Rehydrate takes, or nil when it carries no index; the slices
+// alias the artifact.
+func (a *Artifact) Index() *index.FlatIndex {
+	if a.Meta.Index == "" {
+		return nil
+	}
+	return &index.FlatIndex{
+		Kind: a.Meta.Index, UpOff: a.CHUpOff, UpTo: a.CHUpTo, UpWt: a.CHUpWt,
+		Landmarks: a.Meta.Landmarks, LD: a.ALTLandmarks,
+		LabOff: a.HLLabOff, LabHub: a.HLLabHub, LabDist: a.HLLabDist,
+	}
 }
 
 // SectionInfo describes one section as recorded in the container.
@@ -260,6 +375,69 @@ type manifest struct {
 	FormatVersion uint32        `json:"format_version"`
 	Writer        string        `json:"writer,omitempty"`
 	Sections      []SectionInfo `json:"sections"`
+}
+
+// checkMeta validates the meta document on its own: counts in range,
+// a known index kind for the container version, a receipt present.
+// Write and Read both apply it.
+func checkMeta(m *Meta, version uint32) error {
+	if m.FormatVersion != int(version) {
+		return invalidf("meta declares format version %d in a version-%d container", m.FormatVersion, version)
+	}
+	if m.N < 0 || uint64(m.N) > math.MaxUint32 {
+		return invalidf("meta vertex count %d outside [0, 2^32)", m.N)
+	}
+	if m.M < 0 || uint64(m.M) > math.MaxUint32 {
+		return invalidf("meta edge count %d outside [0, 2^32)", m.M)
+	}
+	switch m.Index {
+	case "", "ch":
+	case "hl":
+		if version < 2 {
+			return invalidf("meta declares an HL index in a version-%d container (hub labels need version 2)", version)
+		}
+	case "alt":
+		if m.Landmarks < 1 || m.Landmarks > index.MaxLandmarks {
+			return invalidf("meta landmark count %d outside [1, %d]", m.Landmarks, index.MaxLandmarks)
+		}
+	default:
+		return invalidf("meta declares unknown index kind %q", m.Index)
+	}
+	if m.Index != "" && m.Directed {
+		return invalidf("meta declares a %s index on a directed topology", m.Index)
+	}
+	if m.Index != "alt" && m.Landmarks != 0 {
+		return invalidf("meta declares %d landmarks without an ALT index", m.Landmarks)
+	}
+	if m.NoiseScale < 0 || math.IsNaN(m.NoiseScale) || math.IsInf(m.NoiseScale, 0) {
+		return invalidf("meta noise scale %g is not a finite nonnegative number", m.NoiseScale)
+	}
+	if m.Epsilon < 0 || math.IsNaN(m.Epsilon) || math.IsInf(m.Epsilon, 0) {
+		return invalidf("meta epsilon %g is not a finite nonnegative number", m.Epsilon)
+	}
+	if len(m.Receipt) == 0 {
+		return invalidf("meta carries no receipt")
+	}
+	return nil
+}
+
+// checkEdges checks the released graph against the invariants the
+// sealed oracle relies on: endpoints in [0, N), weights nonnegative.
+// Deeper index-array validation (offset monotonicity, target bounds)
+// belongs to index.Rehydrate, which re-checks everything it consumes.
+func checkEdges(a *Artifact) error {
+	n := uint64(a.Meta.N)
+	for i := range a.EdgeFrom {
+		if uint64(a.EdgeFrom[i]) >= n || uint64(a.EdgeTo[i]) >= n {
+			return invalidf("edge %d joins (%d, %d) outside [0, %d)", i, a.EdgeFrom[i], a.EdgeTo[i], n)
+		}
+	}
+	for i, w := range a.Weights {
+		if w < 0 || math.IsNaN(w) {
+			return invalidf("released weight %d is %g; sealed weights are clamped nonnegative", i, w)
+		}
+	}
+	return nil
 }
 
 // align64 rounds an offset up to the next 64-byte boundary.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ReadOptions configures Read.
@@ -85,7 +86,8 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 			return nil, nil, err
 		}
 		kind := binary.LittleEndian.Uint32(ent[0:])
-		if sectionName(kind) == "" {
+		spec := specOf(kind)
+		if spec == nil {
 			return nil, nil, invalidf("section %d has unknown kind %d", i, kind)
 		}
 		if binary.LittleEndian.Uint32(ent[4:]) != 0 {
@@ -109,7 +111,7 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 		copy(digests[i][:], ent[24:])
 		table[i] = SectionInfo{
 			Kind:   kind,
-			Name:   sectionName(kind),
+			Name:   spec.name,
 			Offset: secOff,
 			Length: secLen,
 			SHA256: hex.EncodeToString(ent[24 : 24+sha256.Size]),
@@ -124,6 +126,7 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 	// the exact byte length of every later section; a section that
 	// disagrees is rejected before its payload is interpreted.
 	art := &Artifact{}
+	buf := make([]byte, chunkBytes)
 	for i, sec := range table {
 		if err := cr.skipPadding(sec.Offset); err != nil {
 			return nil, nil, err
@@ -147,15 +150,17 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 				return nil, nil, err
 			}
 		} else {
-			want, ok := expectedLength(&art.Meta, sec.Kind, art)
-			if !ok {
-				return nil, nil, invalidf("%s section present but meta declares index %q", sec.Name, art.Meta.Index)
+			spec := specOf(sec.Kind)
+			want, err := spec.size(art)
+			if err != nil {
+				return nil, nil, err
 			}
 			if sec.Length != want {
 				return nil, nil, invalidf("%s section is %d bytes, meta requires %d", sec.Name, sec.Length, want)
 			}
-			if err := decodeSection(body, sec.Kind, sec.Length, art); err != nil {
-				return nil, nil, err
+			p := spec.array(art)
+			if err := decodeArray(body, p, want/elemWidth(p), buf); err != nil {
+				return nil, nil, fmt.Errorf("%s section: %w", sec.Name, err)
 			}
 		}
 		var sum [sha256.Size]byte
@@ -164,7 +169,19 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 			return nil, nil, fmt.Errorf("%w: %w in %s section", ErrInvalid, ErrDigestMismatch, sec.Name)
 		}
 	}
-	if err := checkSections(art, table); err != nil {
+	// Every section read was one meta asks for; walking the table
+	// alongside the sections read finds any it asks for and lacks.
+	next := 0
+	for _, s := range sectionTable {
+		if !s.carried(&art.Meta) {
+			continue
+		}
+		if next == len(table) || table[next].Kind != s.kind {
+			return nil, nil, invalidf("missing %s section", s.name)
+		}
+		next++
+	}
+	if err := checkEdges(art); err != nil {
 		return nil, nil, err
 	}
 	if art.Meta.Index == "hl" {
@@ -240,181 +257,6 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 	return art, info, nil
 }
 
-// checkMeta validates the meta document on its own: counts in range,
-// a known index kind for the container version, a receipt present.
-// Cross-checks against the arrays happen in checkSections once they
-// are decoded.
-func checkMeta(m *Meta, version uint32) error {
-	if m.FormatVersion != int(version) {
-		return invalidf("meta declares format version %d, header says %d", m.FormatVersion, version)
-	}
-	if m.N < 0 || uint64(m.N) > math.MaxUint32 {
-		return invalidf("meta vertex count %d outside [0, 2^32)", m.N)
-	}
-	if m.M < 0 || uint64(m.M) > math.MaxUint32 {
-		return invalidf("meta edge count %d outside [0, 2^32)", m.M)
-	}
-	switch m.Index {
-	case "", "ch":
-	case "hl":
-		if version < 2 {
-			return invalidf("meta declares an HL index in a version-%d container (hub labels need version 2)", version)
-		}
-	case "alt":
-		if m.Landmarks < 1 || m.Landmarks > 1<<15 {
-			return invalidf("meta landmark count %d outside [1, %d]", m.Landmarks, 1<<15)
-		}
-	default:
-		return invalidf("meta declares unknown index kind %q", m.Index)
-	}
-	if m.Index != "" && m.Directed {
-		return invalidf("meta declares a %s index on a directed topology", m.Index)
-	}
-	if m.Index != "alt" && m.Landmarks != 0 {
-		return invalidf("meta declares %d landmarks without an ALT index", m.Landmarks)
-	}
-	if m.NoiseScale < 0 || math.IsNaN(m.NoiseScale) || math.IsInf(m.NoiseScale, 0) {
-		return invalidf("meta noise scale %g is not a finite nonnegative number", m.NoiseScale)
-	}
-	if m.Epsilon < 0 || math.IsNaN(m.Epsilon) || math.IsInf(m.Epsilon, 0) {
-		return invalidf("meta epsilon %g is not a finite nonnegative number", m.Epsilon)
-	}
-	if len(m.Receipt) == 0 {
-		return invalidf("meta carries no receipt")
-	}
-	return nil
-}
-
-// carriesCH reports whether meta's index comes with the CH sections:
-// a "ch" index, or an "hl" index sealed at format version 2, which
-// also stored the hierarchy its labels were built from.
-func carriesCH(m *Meta) bool {
-	return m.Index == "ch" || (m.Index == "hl" && m.FormatVersion == 2)
-}
-
-// expectedLength returns the exact byte length meta requires of a
-// non-meta section, or ok=false when the section should not exist
-// under meta's declared index kind. CHUpTo's length is pinned by the
-// already-decoded CHUpOff array (its final offset counts the upward
-// edges), so even the variable-size sections have exactly one valid
-// length.
-func expectedLength(m *Meta, kind uint32, art *Artifact) (length uint64, ok bool) {
-	switch kind {
-	case sectionEdgeFrom, sectionEdgeTo:
-		return 4 * uint64(m.M), true
-	case sectionWeights:
-		return 8 * uint64(m.M), true
-	case sectionCHUpOff:
-		return 4 * (uint64(m.N) + 1), carriesCH(m)
-	case sectionCHUpTo, sectionCHUpWt:
-		if !carriesCH(m) || len(art.CHUpOff) != m.N+1 {
-			return 0, false
-		}
-		last := art.CHUpOff[m.N]
-		if last < 0 {
-			return 0, false
-		}
-		if kind == sectionCHUpTo {
-			return 4 * uint64(last), true
-		}
-		return 8 * uint64(last), true
-	case sectionALTLandmarks:
-		return 8 * uint64(m.Landmarks) * uint64(m.N), m.Index == "alt"
-	case sectionHLLabOff:
-		return 8 * (uint64(m.N) + 1), m.Index == "hl"
-	case sectionHLLabHub, sectionHLLabDist:
-		if m.Index != "hl" || len(art.HLLabOff) != m.N+1 {
-			return 0, false
-		}
-		last := art.HLLabOff[m.N]
-		if last < 0 {
-			return 0, false
-		}
-		if kind == sectionHLLabHub {
-			return 4 * uint64(last), true
-		}
-		return 8 * uint64(last), true
-	}
-	return 0, false
-}
-
-// decodeSection decodes one numeric section's payload into the
-// artifact's arrays.
-func decodeSection(r io.Reader, kind uint32, length uint64, art *Artifact) error {
-	var err error
-	switch kind {
-	case sectionEdgeFrom:
-		art.EdgeFrom, err = decodeU32(r, length/4)
-	case sectionEdgeTo:
-		art.EdgeTo, err = decodeU32(r, length/4)
-	case sectionWeights:
-		art.Weights, err = decodeF64(r, length/8)
-	case sectionCHUpOff:
-		art.CHUpOff, err = decodeI32(r, length/4)
-	case sectionCHUpTo:
-		art.CHUpTo, err = decodeI32(r, length/4)
-	case sectionCHUpWt:
-		art.CHUpWt, err = decodeF64(r, length/8)
-	case sectionALTLandmarks:
-		art.ALTLandmarks, err = decodeF64(r, length/8)
-	case sectionHLLabOff:
-		art.HLLabOff, err = decodeI64(r, length/8)
-	case sectionHLLabHub:
-		art.HLLabHub, err = decodeI32(r, length/4)
-	case sectionHLLabDist:
-		art.HLLabDist, err = decodeF64(r, length/8)
-	default:
-		err = invalidf("undecodable section kind %d", kind)
-	}
-	if err != nil {
-		return fmt.Errorf("%s section: %w", sectionName(kind), err)
-	}
-	return nil
-}
-
-// checkSections cross-validates the decoded arrays against meta: the
-// full section set for the declared index kind must be present, and
-// edge endpoints and weights must satisfy the invariants the sealed
-// oracle relies on. Deeper index-array validation (offset
-// monotonicity, target bounds) belongs to index rehydration, which
-// re-checks everything it consumes.
-func checkSections(art *Artifact, table []SectionInfo) error {
-	have := make(map[uint32]bool, len(table))
-	for _, s := range table {
-		have[s.Kind] = true
-	}
-	required := []uint32{sectionMeta, sectionEdgeFrom, sectionEdgeTo, sectionWeights}
-	if carriesCH(&art.Meta) {
-		required = append(required, sectionCHUpOff, sectionCHUpTo, sectionCHUpWt)
-	}
-	switch art.Meta.Index {
-	case "hl":
-		required = append(required, sectionHLLabOff, sectionHLLabHub, sectionHLLabDist)
-	case "alt":
-		required = append(required, sectionALTLandmarks)
-	}
-	if len(have) != len(required) {
-		return invalidf("artifact has %d sections, index kind %q requires %d", len(have), art.Meta.Index, len(required))
-	}
-	for _, kind := range required {
-		if !have[kind] {
-			return invalidf("missing %s section", sectionName(kind))
-		}
-	}
-	n := uint64(art.Meta.N)
-	for i := range art.EdgeFrom {
-		if uint64(art.EdgeFrom[i]) >= n || uint64(art.EdgeTo[i]) >= n {
-			return invalidf("edge %d joins (%d, %d) outside [0, %d)", i, art.EdgeFrom[i], art.EdgeTo[i], n)
-		}
-	}
-	for i, w := range art.Weights {
-		if w < 0 || math.IsNaN(w) {
-			return invalidf("released weight %d is %g; sealed weights are clamped nonnegative", i, w)
-		}
-	}
-	return nil
-}
-
 // countingReader tracks the absolute stream position for offset
 // verification and padding consumption.
 type countingReader struct {
@@ -461,92 +303,59 @@ func readFull(r io.Reader, p []byte, what string) error {
 	return nil
 }
 
-// The decoders grow their result as bytes actually arrive: initial
-// capacity is capped, so a length field lying about a huge section
-// costs the attacker a full stream of real bytes, not us a giant
-// allocation up front.
-
+// maxInitElems caps the capacity decodeArray allocates up front.
 const maxInitElems = 1 << 17 // ~1MiB of 8-byte elements
 
-func initCap(count uint64) int {
-	if count > maxInitElems {
-		return maxInitElems
-	}
-	return int(count)
-}
-
-func decodeU32(r io.Reader, count uint64) ([]uint32, error) {
-	out := make([]uint32, 0, initCap(count))
-	buf := make([]byte, chunkBytes)
+// decodeArray reads count little-endian elements from r into the slice
+// p points at, one buf-sized chunk at a time; the element type is
+// switched on once per chunk. The slice grows as bytes actually
+// arrive: its initial capacity is capped, so a length field lying
+// about a huge section costs the attacker a full stream of real bytes,
+// not us a giant allocation up front.
+func decodeArray(r io.Reader, p any, count uint64, buf []byte) error {
+	width := elemWidth(p)
+	hint := int(min(count, maxInitElems))
 	for remaining := count; remaining > 0; {
-		k := uint64(len(buf) / 4)
-		if k > remaining {
-			k = remaining
+		k := min(uint64(len(buf))/width, remaining)
+		chunk := buf[:k*width]
+		if err := readFull(r, chunk, "array payload"); err != nil {
+			return err
 		}
-		if err := readFull(r, buf[:k*4], "array payload"); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			out = append(out, binary.LittleEndian.Uint32(buf[i*4:]))
+		switch s := p.(type) {
+		case *[]uint32:
+			dst := extend(s, hint, int(k))
+			for j := range dst {
+				dst[j] = binary.LittleEndian.Uint32(chunk[4*j:])
+			}
+		case *[]int32:
+			dst := extend(s, hint, int(k))
+			for j := range dst {
+				dst[j] = int32(binary.LittleEndian.Uint32(chunk[4*j:]))
+			}
+		case *[]int64:
+			dst := extend(s, hint, int(k))
+			for j := range dst {
+				dst[j] = int64(binary.LittleEndian.Uint64(chunk[8*j:]))
+			}
+		case *[]float64:
+			dst := extend(s, hint, int(k))
+			for j := range dst {
+				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*j:]))
+			}
 		}
 		remaining -= k
 	}
-	return out, nil
+	return nil
 }
 
-func decodeI32(r io.Reader, count uint64) ([]int32, error) {
-	out := make([]int32, 0, initCap(count))
-	buf := make([]byte, chunkBytes)
-	for remaining := count; remaining > 0; {
-		k := uint64(len(buf) / 4)
-		if k > remaining {
-			k = remaining
-		}
-		if err := readFull(r, buf[:k*4], "array payload"); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[i*4:])))
-		}
-		remaining -= k
+// extend lengthens the slice s points at by k elements and returns
+// them. Its first allocation holds hint elements; later ones grow it
+// geometrically, as append does.
+func extend[T any](s *[]T, hint, k int) []T {
+	if *s == nil {
+		*s = make([]T, 0, hint)
 	}
-	return out, nil
-}
-
-func decodeI64(r io.Reader, count uint64) ([]int64, error) {
-	out := make([]int64, 0, initCap(count))
-	buf := make([]byte, chunkBytes)
-	for remaining := count; remaining > 0; {
-		k := uint64(len(buf) / 8)
-		if k > remaining {
-			k = remaining
-		}
-		if err := readFull(r, buf[:k*8], "array payload"); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-		remaining -= k
-	}
-	return out, nil
-}
-
-func decodeF64(r io.Reader, count uint64) ([]float64, error) {
-	out := make([]float64, 0, initCap(count))
-	buf := make([]byte, chunkBytes)
-	for remaining := count; remaining > 0; {
-		k := uint64(len(buf) / 8)
-		if k > remaining {
-			k = remaining
-		}
-		if err := readFull(r, buf[:k*8], "array payload"); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-		remaining -= k
-	}
-	return out, nil
+	n := len(*s)
+	*s = slices.Grow(*s, k)[:n+k]
+	return (*s)[n:]
 }

@@ -2,10 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -163,6 +168,30 @@ func TestDeterministicSeal(t *testing.T) {
 	}
 }
 
+// TestGoldenDigests pins the sealed bytes across builds, not just
+// within one: each test artifact, signed with a key derived from a
+// fixed seed, must hash to the digest recorded here. A change to any
+// of them is a format change and needs a new FormatVersion.
+func TestGoldenDigests(t *testing.T) {
+	seed := make([]byte, ed25519.SeedSize)
+	for i := range seed {
+		seed[i] = byte(i)
+	}
+	key := ed25519.NewKeyFromSeed(seed)
+	want := map[string]string{
+		"":    "209328df26daf709c9262da82750feabcd1f25d62d325be71efd3eedc0623a35",
+		"ch":  "9675d25352a3036906db0107a519dbb87ac217e9972c49fccb54beffb7a90307",
+		"alt": "d9d0d0a7301482ed4055a0dc4ab3a746be9de876b59820994db46d0b1c18e11a",
+		"hl":  "5a06f7206a44ddbbc9c7b996de6707d9a33e73ec0243702d22f9228cbd9ea717",
+	}
+	for index, digest := range want {
+		sum := sha256.Sum256(seal(t, testArtifact(index), WriteOptions{SigningKey: key}))
+		if got := hex.EncodeToString(sum[:]); got != digest {
+			t.Errorf("index %q: sealed artifact hashes to %s, want %s", index, got, digest)
+		}
+	}
+}
+
 func TestSignatureVerifies(t *testing.T) {
 	pub, priv, err := GenerateKey()
 	if err != nil {
@@ -262,7 +291,7 @@ func TestFormatVersion1RoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := testArtifact(index)
 			want.Meta.FormatVersion = 1
-			data := rawContainer(t, want, indexSections(want)...)
+			data := rawContainer(t, want, kindSections(want)...)
 			got, info, err := Read(bytes.NewReader(data), ReadOptions{})
 			if err != nil {
 				t.Fatalf("Read: %v", err)
@@ -281,7 +310,7 @@ func TestFormatVersion1RoundTrip(t *testing.T) {
 func TestFormatVersion1RejectsHubLabels(t *testing.T) {
 	art := testArtifact("hl")
 	art.Meta.FormatVersion = 1
-	data := rawContainer(t, art, indexSections(art)...)
+	data := rawContainer(t, art, kindSections(art)...)
 	if _, _, err := Read(bytes.NewReader(data), ReadOptions{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("version-1 container with hub labels: err = %v, want ErrInvalid", err)
 	}
@@ -297,15 +326,31 @@ func TestFormatVersion1RejectsHubLabels(t *testing.T) {
 // emit.
 func rawContainer(t *testing.T, art *Artifact, extra ...section) []byte {
 	t.Helper()
-	secs, err := baseSections(art)
+	meta, err := metaSection(art)
 	if err != nil {
 		t.Fatal(err)
+	}
+	secs := []section{meta}
+	for i := 1; sectionTable[i].name != "ch_up_off"; i++ {
+		secs = append(secs, arraySection(&sectionTable[i], art))
 	}
 	var buf bytes.Buffer
 	if err := writeContainer(&buf, uint32(art.Meta.FormatVersion), art.Meta.Writer, append(secs, extra...), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// kindSections are the sections of art's own index kind (those whose
+// names carry its prefix), built from art's arrays.
+func kindSections(art *Artifact) []section {
+	var secs []section
+	for i := range sectionTable {
+		if s := &sectionTable[i]; art.Meta.Index != "" && strings.HasPrefix(s.name, art.Meta.Index+"_") {
+			secs = append(secs, arraySection(s, art))
+		}
+	}
+	return secs
 }
 
 // TestHubLabelsStandAlone: from version 3 an "hl" artifact is meta,
@@ -327,12 +372,12 @@ func TestHubLabelsStandAlone(t *testing.T) {
 		t.Fatalf("version-%d hl sections = %s", info.FormatVersion, got)
 	}
 
-	ch, hl := indexSections(testArtifact("ch")), indexSections(want)
+	ch, hl := kindSections(testArtifact("ch")), kindSections(want)
 	for i := range ch {
 		data := rawContainer(t, want, append([]section{ch[i]}, hl...)...)
 		art, _, err := Read(bytes.NewReader(data), ReadOptions{})
 		if !errors.Is(err, ErrInvalid) || art != nil {
-			t.Fatalf("version-3 hl artifact with a %s section: art=%v err=%v", sectionName(ch[i].kind), art != nil, err)
+			t.Fatalf("version-3 hl artifact with a %s section: art=%v err=%v", ch[i].spec.name, art != nil, err)
 		}
 	}
 	data := rawContainer(t, want, append(ch, hl...)...)
@@ -354,8 +399,8 @@ func TestHubLabelsStandAlone(t *testing.T) {
 func TestFormatVersion2HubLabelsRead(t *testing.T) {
 	want := testArtifact("hl")
 	want.Meta.FormatVersion = 2
-	hl := indexSections(want)
-	data := rawContainer(t, want, append(indexSections(testArtifact("ch")), hl...)...)
+	hl := kindSections(want)
+	data := rawContainer(t, want, append(kindSections(testArtifact("ch")), hl...)...)
 	got, info, err := Read(bytes.NewReader(data), ReadOptions{})
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -408,6 +453,35 @@ func TestLengthLyingDoesNotAllocate(t *testing.T) {
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
 	}
+
+	// An array section whose claimed length meta agrees with, backed by
+	// a stream of two chunks: the decoder may allocate its capped
+	// initial capacity, not the 64 MiB claimed.
+	lie := testArtifact("")
+	lie.Meta.M = 1 << 24
+	mut = rawContainer(t, lie)
+	le := binary.LittleEndian
+	entry := func(i int) []byte { return mut[len(magic)+headerSize+i*tableEntrySize:] }
+	le.PutUint64(entry(1)[16:], 4<<24) // edge_from length
+	off := le.Uint64(entry(1)[8:]) + 4<<24
+	for i := 2; i < 4; i++ {
+		off = align64(off)
+		le.PutUint64(entry(i)[8:], off)
+		off += le.Uint64(entry(i)[16:])
+	}
+	le.PutUint64(mut[len(magic)+8:], align64(off))                                 // manifest offset
+	le.PutUint64(mut[len(magic)+24:], align64(off)+le.Uint64(mut[len(magic)+16:])) // signature offset
+	mut = append(mut, make([]byte, 2*chunkBytes)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	art, _, err = Read(bytes.NewReader(mut), ReadOptions{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInvalid) || art != nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("length-lying edge_from section: art=%v err=%v, want truncation", art != nil, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("length-lying edge_from section allocated %d bytes", got)
+	}
 }
 
 func TestWriterRejectsInconsistentArtifact(t *testing.T) {
@@ -425,8 +499,8 @@ func TestWriterRejectsInconsistentArtifact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			art := testArtifact("")
 			mutate(art)
-			if err := Write(io.Discard, art, WriteOptions{}); err == nil {
-				t.Fatal("Write accepted an inconsistent artifact")
+			if err := Write(io.Discard, art, WriteOptions{}); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Write: err = %v, want ErrInvalid", err)
 			}
 		})
 	}
@@ -441,10 +515,30 @@ func TestWriterRejectsInconsistentArtifact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			art := testArtifact("hl")
 			mutate(art)
-			if err := Write(io.Discard, art, WriteOptions{}); err == nil {
-				t.Fatal("Write accepted an inconsistent artifact")
+			if err := Write(io.Discard, art, WriteOptions{}); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Write: err = %v, want ErrInvalid", err)
 			}
 		})
+	}
+	t.Run("ch-off-past-arena", func(t *testing.T) {
+		art := testArtifact("ch")
+		art.CHUpOff[len(art.CHUpOff)-1]++
+		if err := Write(io.Discard, art, WriteOptions{}); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("Write accepted CH offsets that end past the upward arrays: err = %v", err)
+		}
+	})
+}
+
+// TestLandmarkBound: the reader allows no more landmarks than an ALT
+// index can hold, so an artifact that would fail rehydration on its
+// landmark count fails to read instead.
+func TestLandmarkBound(t *testing.T) {
+	art := testArtifact("alt")
+	art.Meta.Landmarks = 33
+	art.ALTLandmarks = make([]float64, 33*art.Meta.N)
+	data := rawContainer(t, art, kindSections(art)...)
+	if got, _, err := Read(bytes.NewReader(data), ReadOptions{}); !errors.Is(err, ErrInvalid) || got != nil {
+		t.Fatalf("33 landmarks: art=%v err=%v, want ErrInvalid", got != nil, err)
 	}
 }
 
