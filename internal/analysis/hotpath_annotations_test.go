@@ -32,8 +32,8 @@ var guardedFunctions = map[string][]string{
 		"Distance",
 	},
 	"internal/graph/index/hl.go": {
-		// guard #7: BenchmarkIndexDistance/hl
-		"Distance",
+		// guard #7: BenchmarkIndexDistance/(hl|hl-depot)
+		"Distance", "load",
 	},
 	"internal/graph/index/search.go": {
 		// guard #7: the searchState kernel under BenchmarkIndexDistance/ch
@@ -54,6 +54,7 @@ var guardedFunctions = map[string][]string{
 var guardMarkers = []string{
 	"BenchmarkFillLaplace/(crypto|seeded)",
 	"BenchmarkIndexDistance",
+	"BenchmarkIndexDistance$/^(ch|hl|hl-depot)$",
 	"BenchmarkPairCache",
 	"TestServeDistanceZeroAlloc|TestServeDistancesZeroAlloc",
 }

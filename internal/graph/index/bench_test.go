@@ -89,6 +89,24 @@ func BenchmarkIndexDistance(b *testing.B) {
 				idx.Distance((i*7919)%n, (i*104729+1)%n)
 			}
 		})
+		if m != HL {
+			continue
+		}
+		// hl-depot is the shape of a batch workload's depot request:
+		// one source to 256 targets, pairs oriented s < t as the oracle
+		// passes them, so the source arrives in either position.
+		b.Run("hl-depot", func(b *testing.B) {
+			idx.Distance(0, n-1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, t := ((i/256)*7919)%n, (i*104729+1)%n
+				if s > t {
+					s, t = t, s
+				}
+				idx.Distance(s, t)
+			}
+		})
 	}
 }
 

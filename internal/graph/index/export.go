@@ -146,7 +146,7 @@ func rehydrateCH(p *prepared, f *FlatIndex) (*chIndex, error) {
 	return c, nil
 }
 
-// rehydrateHL validates the label arena and rebuilds the merge-ready
+// rehydrateHL validates the label arena and rebuilds the query-ready
 // labeling; any upward-CSR fields are ignored.
 func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 	n := p.n
@@ -171,8 +171,9 @@ func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 			if h < 0 || int(h) >= n {
 				return nil, fmt.Errorf("index: vertex %d label entry names hub %d outside [0, %d)", v, h, n)
 			}
-			// Strict ascending hub order per vertex is what the query
-			// merge walks; it also rules out duplicate hubs.
+			// Strict ascending hub order rules out duplicate hubs: the
+			// query's hub table holds one distance per hub, so
+			// scattering a repeated hub would keep only its last entry.
 			if i > f.LabOff[v] && h <= f.LabHub[i-1] {
 				return nil, fmt.Errorf("index: vertex %d label hubs not strictly ascending at entry %d", v, i-f.LabOff[v])
 			}
@@ -183,7 +184,7 @@ func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 			return nil, fmt.Errorf("index: HL label distance %d is %g; want finite nonnegative", i, x)
 		}
 	}
-	return &hlIndex{n: n, comp: p.comp, labOff: f.LabOff, labHub: f.LabHub, labDist: f.LabDist}, nil
+	return newHLIndex(n, p.comp, f.LabOff, f.LabHub, f.LabDist), nil
 }
 
 // rehydrateALT validates the landmark rows and rebuilds the A* index

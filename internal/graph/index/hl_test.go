@@ -1,10 +1,12 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -247,5 +249,164 @@ func TestTopoOrderRejectsCycle(t *testing.T) {
 				t.Fatalf("edge %d->%d not respected by order %v", v, upTo[i], order)
 			}
 		}
+	}
+}
+
+// mergeDistance is the sorted-label merge the table kernel replaced,
+// kept here as its oracle: it walks L(s) and L(t) in ascending hub
+// order and takes the minimum sum over common hubs.
+func mergeDistance(x *hlIndex, s, t int) float64 {
+	if s == t {
+		return 0
+	}
+	if x.comp[s] != x.comp[t] {
+		return math.Inf(1)
+	}
+	i, iEnd := x.labOff[s], x.labOff[s+1]
+	j, jEnd := x.labOff[t], x.labOff[t+1]
+	best := math.Inf(1)
+	for i < iEnd && j < jEnd {
+		hi, hj := x.labHub[i], x.labHub[j]
+		switch {
+		case hi == hj:
+			if d := x.labDist[i] + x.labDist[j]; d < best {
+				best = d
+			}
+			i++
+			j++
+		case hi < hj:
+			i++
+		default:
+			j++
+		}
+	}
+	return best
+}
+
+// hlOrder is one query sequence the table kernel must answer exactly
+// as the merge does.
+type hlOrder struct {
+	name  string
+	pairs [][2]int
+}
+
+// hlPairOrders returns sequences that exercise each path through the
+// table: reuse as loaded, reuse swapped, and reload.
+func hlPairOrders(n int, rng *rand.Rand) []hlOrder {
+	const runs, runLen = 12, 24
+	var random, source, target, alternating, self [][2]int
+	for q := 0; q < runs*runLen; q++ {
+		random = append(random, [2]int{rng.Intn(n), rng.Intn(n)})
+	}
+	for r := 0; r < runs; r++ {
+		d := rng.Intn(n)
+		for q := 0; q < runLen; q++ {
+			source = append(source, [2]int{d, rng.Intn(n)})
+			target = append(target, [2]int{rng.Intn(n), d})
+		}
+		a, b := rng.Intn(n), rng.Intn(n)
+		for q := 0; q < runLen; q++ {
+			alternating = append(alternating, [2]int{a, rng.Intn(n)}, [2]int{b, rng.Intn(n)})
+		}
+		v := rng.Intn(n)
+		self = append(self, [2]int{v, v}, [2]int{v, rng.Intn(n)}, [2]int{v, v}, [2]int{rng.Intn(n), v}, [2]int{v, v})
+	}
+	return []hlOrder{
+		{"random", random}, {"same-source", source}, {"same-target", target},
+		{"alternating", alternating}, {"self", self},
+	}
+}
+
+// twoGrids is two disjoint side x side grids, so half of all pairs
+// cross components.
+func twoGrids(side int) *graph.Graph {
+	k := side * side
+	g := graph.New(2 * k)
+	for base := 0; base < 2*k; base += k {
+		for r := 0; r < side; r++ {
+			for c := 0; c < side; c++ {
+				if c+1 < side {
+					g.AddEdge(base+r*side+c, base+r*side+c+1)
+				}
+				if r+1 < side {
+					g.AddEdge(base+r*side+c, base+(r+1)*side+c)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// hlTestGraphs builds HL indexes, keyed by name, over the randomly
+// weighted topologies the table kernel is checked on.
+func hlTestGraphs(t *testing.T) map[string]*hlIndex {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"erdos-renyi-1", graph.ErdosRenyi(150, 0.04, rng)},
+		{"erdos-renyi-2", graph.ErdosRenyi(300, 0.015, rng)},
+		{"grid-16", graph.Grid(16)},
+		{"two-components", twoGrids(8)},
+	}
+	out := map[string]*hlIndex{}
+	for _, c := range graphs {
+		idx, err := Build(c.g, graph.UniformRandomWeights(c.g, 0.5, 2.5, rng), Options{Mode: HL})
+		if err != nil {
+			t.Fatalf("%s: Build(HL): %v", c.name, err)
+		}
+		out[c.name] = idx.(*hlIndex)
+	}
+	return out
+}
+
+// TestHLTableMatchesMerge: the table kernel answers every pair with the
+// merge's exact bits, whatever vertex the pooled table held before.
+func TestHLTableMatchesMerge(t *testing.T) {
+	for name, x := range hlTestGraphs(t) {
+		rng := rand.New(rand.NewSource(3))
+		for _, order := range hlPairOrders(x.n, rng) {
+			for _, p := range order.pairs {
+				got, want := x.Distance(p[0], p[1]), mergeDistance(x, p[0], p[1])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s: Distance(%d,%d) = %v (%#x), merge %v (%#x)",
+						name, order.name, p[0], p[1], got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestHLTableConcurrent: goroutines sharing one index each answer
+// same-source runs; a table is owned by one query at a time, so every
+// answer still matches the merge.
+func TestHLTableConcurrent(t *testing.T) {
+	x := hlTestGraphs(t)["grid-16"]
+	const workers = 8
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for r := 0; r < 20; r++ {
+				s := rng.Intn(x.n)
+				for q := 0; q < 32; q++ {
+					u := rng.Intn(x.n)
+					if got, want := x.Distance(s, u), mergeDistance(x, s, u); math.Float64bits(got) != math.Float64bits(want) {
+						errs <- fmt.Sprintf("worker %d: Distance(%d,%d) = %v, merge %v", seed, s, u, got, want)
+						return
+					}
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

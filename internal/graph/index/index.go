@@ -12,10 +12,10 @@
 //     upward search with stall-on-demand). Queries settle a few hundred
 //     vertices on road-like and grid-like graphs regardless of size.
 //   - HL: 2-hop hub labels computed from the CH contraction order. A
-//     point query is one linear merge of two sorted label arrays —
-//     another order of magnitude under the CH search — at the cost of
-//     label storage and build time on top of the hierarchy, which is
-//     dropped once the labels exist.
+//     point query scans one label against the other, scattered into a
+//     dense hub table — another order of magnitude under the CH search
+//     — at the cost of label storage and build time on top of the
+//     hierarchy, which is dropped once the labels exist.
 //   - ALT: landmark-based A* (triangle-inequality lower bounds from a
 //     small set of farthest-point landmarks). Slower than CH but immune
 //     to contraction degeneracy on dense or highly non-hierarchical
@@ -32,8 +32,9 @@
 // equivalence is enforced by the tests in this package.
 //
 // All indexes are safe for concurrent use: per-query state lives in
-// sync.Pool-recycled, version-stamped workspaces, so steady-state
-// queries allocate nothing and never touch shared mutable state.
+// sync.Pool-recycled workspaces (version-stamped search records, or
+// HL's hub tables), so steady-state queries allocate nothing and never
+// touch shared mutable state.
 package index
 
 import (

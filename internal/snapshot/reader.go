@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // ReadOptions configures Read.
@@ -309,12 +308,11 @@ const maxInitElems = 1 << 17 // ~1MiB of 8-byte elements
 // decodeArray reads count little-endian elements from r into the slice
 // p points at, one buf-sized chunk at a time; the element type is
 // switched on once per chunk. The slice grows as bytes actually
-// arrive: its initial capacity is capped, so a length field lying
-// about a huge section costs the attacker a full stream of real bytes,
-// not us a giant allocation up front.
+// arrive, so a length field lying about a huge section costs the
+// attacker a stream of real bytes, not us a giant allocation up front:
+// see extend for the bound.
 func decodeArray(r io.Reader, p any, count uint64, buf []byte) error {
 	width := elemWidth(p)
-	hint := int(min(count, maxInitElems))
 	for remaining := count; remaining > 0; {
 		k := min(uint64(len(buf))/width, remaining)
 		chunk := buf[:k*width]
@@ -323,22 +321,22 @@ func decodeArray(r io.Reader, p any, count uint64, buf []byte) error {
 		}
 		switch s := p.(type) {
 		case *[]uint32:
-			dst := extend(s, hint, int(k))
+			dst := extend(s, count, int(k))
 			for j := range dst {
 				dst[j] = binary.LittleEndian.Uint32(chunk[4*j:])
 			}
 		case *[]int32:
-			dst := extend(s, hint, int(k))
+			dst := extend(s, count, int(k))
 			for j := range dst {
 				dst[j] = int32(binary.LittleEndian.Uint32(chunk[4*j:]))
 			}
 		case *[]int64:
-			dst := extend(s, hint, int(k))
+			dst := extend(s, count, int(k))
 			for j := range dst {
 				dst[j] = int64(binary.LittleEndian.Uint64(chunk[8*j:]))
 			}
 		case *[]float64:
-			dst := extend(s, hint, int(k))
+			dst := extend(s, count, int(k))
 			for j := range dst {
 				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*j:]))
 			}
@@ -348,14 +346,29 @@ func decodeArray(r io.Reader, p any, count uint64, buf []byte) error {
 	return nil
 }
 
-// extend lengthens the slice s points at by k elements and returns
-// them. Its first allocation holds hint elements; later ones grow it
-// geometrically, as append does.
-func extend[T any](s *[]T, hint, k int) []T {
-	if *s == nil {
-		*s = make([]T, 0, hint)
-	}
+// extend lengthens the slice s points at by k more of the count
+// elements its section declares and returns them. The first allocation
+// holds at most maxInitElems elements and later ones double it, until
+// half of count has arrived: then it reserves exactly count, so a
+// truthful section ends with cap == len, having copied fewer than
+// 1.5 × count elements on the way. At every step the capacity is at
+// most max(maxInitElems, 2 × the elements received), so a lying count
+// costs at most twice the bytes actually sent.
+func extend[T any](s *[]T, count uint64, k int) []T {
 	n := len(*s)
-	*s = slices.Grow(*s, k)[:n+k]
+	need := uint64(n + k)
+	want := uint64(cap(*s))
+	switch {
+	case 2*need >= count:
+		want = count
+	case need > want:
+		want = max(2*want, need, min(count, maxInitElems))
+	}
+	if want > uint64(cap(*s)) {
+		grown := make([]T, n, want)
+		copy(grown, *s)
+		*s = grown
+	}
+	*s = (*s)[:n+k]
 	return (*s)[n:]
 }

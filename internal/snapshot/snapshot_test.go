@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -481,6 +482,63 @@ func TestLengthLyingDoesNotAllocate(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Fatalf("length-lying edge_from section allocated %d bytes", got)
+	}
+}
+
+// TestTruthfulSectionExactCapacity: a section whose bytes all arrive
+// decodes into a slice with cap == len, whether its count fits the
+// capped first allocation or needs the reservation at half, so an
+// unsealed release holds no growth slack.
+func TestTruthfulSectionExactCapacity(t *testing.T) {
+	buf := make([]byte, chunkBytes)
+	for _, count := range []int{1, 1000, maxInitElems, maxInitElems + 1, 3*maxInitElems + 5} {
+		want := make([]float64, count)
+		hubs := make([]int32, count)
+		for i := range want {
+			want[i] = float64(i) / 3
+			hubs[i] = int32(count - i)
+		}
+		var stream bytes.Buffer
+		if err := encodeArray(&stream, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := encodeArray(&stream, &hubs); err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		var gotHubs []int32
+		if err := decodeArray(&stream, &got, uint64(count), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeArray(&stream, &gotHubs, uint64(count), buf); err != nil {
+			t.Fatal(err)
+		}
+		if cap(got) != len(got) || cap(gotHubs) != len(gotHubs) {
+			t.Errorf("count %d: float64 len %d cap %d, int32 len %d cap %d", count, len(got), cap(got), len(gotHubs), cap(gotHubs))
+		}
+		if !slices.Equal(got, want) || !slices.Equal(gotHubs, hubs) {
+			t.Errorf("count %d: decoded values differ from the encoded ones", count)
+		}
+	}
+
+	// The same through Read: a 3*maxInitElems-edge cycle's edge and
+	// weight arrays arrive at exactly their length.
+	n := 3 * maxInitElems
+	art := testArtifact("")
+	art.Meta.N, art.Meta.M = n, n
+	art.EdgeFrom, art.EdgeTo, art.Weights = make([]uint32, n), make([]uint32, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		art.EdgeFrom[i], art.EdgeTo[i], art.Weights[i] = uint32(i), uint32((i+1)%n), float64(i%7)
+	}
+	got, _, err := Read(bytes.NewReader(seal(t, art, WriteOptions{})), ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.EdgeFrom) != n || cap(got.EdgeTo) != n || cap(got.Weights) != n {
+		t.Fatalf("unsealed capacities %d/%d/%d for %d edges", cap(got.EdgeFrom), cap(got.EdgeTo), cap(got.Weights), n)
+	}
+	if !slices.Equal(got.Weights, art.Weights) {
+		t.Fatal("unsealed weights differ")
 	}
 }
 

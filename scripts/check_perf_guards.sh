@@ -22,7 +22,8 @@
 #    the release as contraction stood before it got ~2x faster.
 # 7. Hub labeling: on the same >= 100k-edge grid, a hub-label point
 #    query must beat the CH bidirectional search >= 5x, and both point
-#    queries and result-cache lookups must be allocation-free. Building the labels from a finished hierarchy must take <= 140x
+#    queries (hub-label ones random and in a batch's depot shape) and
+#    result-cache lookups must be allocation-free. Building the labels from a finished hierarchy must take <= 140x
 #    the time of one full Dijkstra over the same grid.
 # 8. Zero-allocation serving + same-source throughput: the point and
 #    batch HTTP handlers must report 0 allocs/op steady-state; a real
@@ -139,9 +140,10 @@ fi
 # versus the CH bidirectional search. -count=2 with a best-of ratio
 # de-flakes the gate; measured ~70x against the 5x bound. Both point
 # queries (ch.go's Distance over the search.go kernel, and hl.go's
-# label merge) must also be allocation-free, and so must the result
-# cache the oracle puts in front of them.
-out=$(go test -bench '^BenchmarkIndexDistance$/^(ch|hl)$' \
+# hub-table scan, on random pairs and on hl-depot's one source to 256
+# targets) must also be allocation-free, and so must the result cache
+# the oracle puts in front of them.
+out=$(go test -bench '^BenchmarkIndexDistance$/^(ch|hl|hl-depot)$' \
     -benchmem -benchtime=50x -count=2 -run '^$' ./internal/graph/index)
 echo "$out"
 chpt=$(echo "$out" | awk '$1 ~ /^BenchmarkIndexDistance\/ch(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
@@ -159,7 +161,11 @@ else
         echo "OK: hub-label point query >= 5x over the CH search"
     fi
 fi
-bad=$(echo "$out" | awk '$1 ~ /^BenchmarkIndexDistance\/(ch|hl)(-[0-9]+)?$/ && $(NF) == "allocs/op" && $(NF-1)+0 > 0')
+bad=$(echo "$out" | awk '$1 ~ /^BenchmarkIndexDistance\/(ch|hl|hl-depot)(-[0-9]+)?$/ && $(NF) == "allocs/op" && $(NF-1)+0 > 0')
+if [ "$(echo "$out" | grep -c '^BenchmarkIndexDistance/hl-depot')" -ne 2 ]; then
+    echo "FAIL: could not parse the BenchmarkIndexDistance/hl-depot output" >&2
+    fail=1
+fi
 if [ -n "$bad" ]; then
     echo >&2
     echo "FAIL: CH and hub-label point queries must be allocation-free:" >&2
