@@ -152,8 +152,8 @@ func (o *syntheticOracle) Distance(s, t int) (float64, error) {
 	return graph.QueryDistanceTrusted(o.g, o.w, s, t)
 }
 
-// indexedDistance serves one validated pair from the result cache,
-// falling through to the index on a miss. Indexes exist only for
+// indexedDistance serves one validated point query from the result
+// cache, falling through to the index on a miss. Indexes exist only for
 // undirected topologies, so both orientations share one cache entry.
 func (o *syntheticOracle) indexedDistance(s, t int) float64 {
 	if s == t {
@@ -210,10 +210,12 @@ func (o *syntheticOracle) Distances(pairs []VertexPair) ([]float64, error) {
 }
 
 // DistancesInto answers a batch. Indexed, every pair is answered in
-// place through the result cache and the index, exactly as Distance
-// answers it. Unindexed, the batch is ordered by (source, target) so
-// each distinct source's deduplicated targets cost one early-exit
-// multi-target Dijkstra.
+// place straight from the index, oriented s < t as Distance asks it, so
+// the answers are Distance's bit for bit. Batches skip the
+// result cache: their pairs rarely repeat, so they would pay for a
+// lookup and a store per pair and almost never hit. Unindexed, the
+// batch is ordered by (source, target) so each distinct source's
+// deduplicated targets cost one early-exit multi-target Dijkstra.
 func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error {
 	if len(out) != len(pairs) {
 		return fmt.Errorf("dpgraph: DistancesInto: %d result slots for %d pairs", len(out), len(pairs))
@@ -226,7 +228,11 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 	}
 	if o.idx != nil {
 		for i, p := range pairs {
-			out[i] = o.indexedDistance(p.S, p.T)
+			s, t := p.S, p.T
+			if s > t {
+				s, t = t, s
+			}
+			out[i] = o.idx.Distance(s, t)
 		}
 		return nil
 	}
@@ -281,8 +287,10 @@ func (o *syntheticOracle) DistancesInto(pairs []VertexPair, out []float64) error
 func (o *syntheticOracle) Bound(gamma float64) float64 { return o.bound(gamma) }
 
 // CacheStats reports the result-cache hit/miss counters of an indexed
-// oracle; ok is false on the unindexed path, which has no cache. The
-// serving layer reads these for its /metrics endpoint.
+// oracle; ok is false on the unindexed path, which has no cache. Only
+// point queries consult the cache, so the counters count point lookups;
+// batch pairs go straight to the index. The serving layer reads these
+// for its /metrics endpoint.
 func (o *syntheticOracle) CacheStats() (hits, misses uint64, ok bool) {
 	if o.cache == nil {
 		return 0, 0, false

@@ -32,7 +32,11 @@ func hierarchyDigests(c *chIndex, x *hlIndex) (chSum, hlSum string) {
 // continuous random weights exercises ordinary contraction; the 1+i%7
 // weights and the complete graph are full of equal-length paths, so a
 // change to the witness searches' pop order or to the adjacency order
-// shows up as a different tie-break.
+// shows up as a different tie-break. The digests were last moved on
+// purpose when the witness budget went from 48 to 200 and the priority
+// gained its level term: the two grids went from 7,204 to 6,998 and
+// from 7,345 to 7,116 upward edges, and from 31.98 to 31.82 and from
+// 53.61 to 49.54 label entries per vertex; Complete(30) did not move.
 func TestHierarchyGolden(t *testing.T) {
 	cyclic := func(g *graph.Graph) []float64 {
 		w := make([]float64, g.M())
@@ -50,13 +54,13 @@ func TestHierarchyGolden(t *testing.T) {
 	}{
 		{
 			"Grid(40) U[0.5,2.5] seed 1", g40, graph.UniformRandomWeights(g40, 0.5, 2.5, rand.New(rand.NewSource(1))),
-			"6a1f8c8e3015ce762c16478ab666ce07d5e06558d6ff6f998cac3580fc650792",
-			"1ebca038414d657190a51533e4a9e230f4ee937129f98e779264f8779cd9015b",
+			"d430eb3db81392257c97261e40ea3216866688fbced2daa0b579b6bca08473ab",
+			"2aba917259a500e64ef9b91f6ed5a6a176a35c03681fed8ea8521ed5a3dd83fb",
 		},
 		{
 			"Grid(40) 1+i%7", g40, cyclic(g40),
-			"1caad538a1b41ad0dca6f26b750891d9eda457ad6cc88d26bcb500eaac2d6167",
-			"e0d4f7f4e150370c44a291509cf822da6352a599e399e6a33737ad4ae4f417c1",
+			"9a49c3202a72af55f136212f5a088bb50f53a322f7faf35fdc6a4ce9daa4a3f1",
+			"ba54f1eb36e05d8b34258604b28bc4964ded5d2e5bcb21e78892a7b4e3c5b770",
 		},
 		{
 			"Complete(30) 1+i%7", k30, cyclic(k30),

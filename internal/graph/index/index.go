@@ -7,10 +7,11 @@
 //
 // Three index families are provided:
 //
-//   - CH: a contraction hierarchy (bottom-up node ordering by
-//     edge-difference, witness-limited shortcut insertion, bidirectional
-//     upward search with stall-on-demand). Queries settle a few hundred
-//     vertices on road-like and grid-like graphs regardless of size.
+//   - CH: a contraction hierarchy (bottom-up node ordering by edge
+//     difference, contracted neighbors and level, witness-limited
+//     shortcut insertion, bidirectional upward search with
+//     stall-on-demand). Queries settle a few hundred vertices on
+//     road-like and grid-like graphs regardless of size.
 //   - HL: 2-hop hub labels computed from the CH contraction order. A
 //     point query scans one label against the other, scattered into a
 //     dense hub table — another order of magnitude under the CH search
@@ -25,7 +26,8 @@
 // queries, so a batched answer is bit for bit the point answer.
 //
 // Build(Auto) tries CH first, falls back to ALT when contraction
-// degenerates (shortcut growth past a guard factor), and upgrades the
+// degenerates (shortcuts arriving too fast over the first half of the
+// contraction, or past a guard factor in total), and upgrades the
 // hierarchy to hub labels when the label build stays within the
 // maxAvgLabel memory guard. Indexes answer the exact same distances as
 // Dijkstra over the same weights, up to floating-point summation order;
@@ -125,20 +127,36 @@ const (
 	altLandmarks = 8
 	// witnessSettleLimit caps the vertices one CH witness search may
 	// settle. Exhausting it inserts the shortcut, which preserves
-	// correctness and only costs index size.
-	witnessSettleLimit = 48
+	// correctness but is paid for in every label the shortcut feeds.
+	// A search already stops once all its shortcut decisions are made,
+	// so the cap binds only where witnesses lie far away. Over eight
+	// noisy releases of the perfbench city, labels hold 7% fewer
+	// entries at 200 than at 48 (14% with the level term), and 300 or
+	// 500 find no more (EXPERIMENTS E36).
+	witnessSettleLimit = 200
+	// edgeDiffWeight and levelWeight weigh the edge difference and the
+	// level in the CH priority (chBuilder.priority; swept in E36).
+	edgeDiffWeight = 6
+	levelWeight    = 2
 	// maxShortcutFactor aborts a guarded (Auto) CH construction once
 	// more than maxShortcutFactor * M shortcuts exist; Auto then falls
 	// back to ALT. An explicit CH request runs unguarded.
 	maxShortcutFactor = 4
+	// maxShortcutRate aborts a guarded CH construction earlier: after
+	// at least rateSample and at most half of the vertices are
+	// contracted, once the shortcuts per contracted vertex pass
+	// maxShortcutRate * M/N (chBuilder.degenerate has the traces it is
+	// set from).
+	maxShortcutRate = 1.8
+	rateSample      = 64
 	// maxAvgLabel aborts a guarded (Auto) hub-label build once the
 	// total kept label entries pass maxAvgLabel * N; Auto then serves
 	// from the hierarchy alone. An explicit HL request runs unguarded.
 	maxAvgLabel = 128
 )
 
-// errDegenerate reports that CH contraction blew past the shortcut
-// guard; Auto catches it and falls back to ALT.
+// errDegenerate reports that CH contraction tripped the shortcut
+// guard (chBuilder.degenerate); Auto catches it and falls back to ALT.
 var errDegenerate = errors.New("index: contraction degenerated (shortcut guard exceeded)")
 
 // errLabelsTooBig reports that the hub-label build blew past the

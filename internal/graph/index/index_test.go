@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
@@ -240,8 +241,12 @@ func TestAutoFallsBackToALTOnDegeneracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	// A sparse random graph has no hierarchy to exploit: contracting it
 	// blows past the shortcut guard, so Auto must deliver the ALT
-	// fallback — and still answer correctly.
-	g := graph.ConnectedErdosRenyi(800, 3.0/800, rng)
+	// fallback — and still answer correctly. At average degree 5 both
+	// guards agree: the rate check stops the attempt a quarter of the way
+	// in, and the full contraction inserts more than 4·M shortcuts. At 3
+	// (TestAutoBuildsHLWithTheWiderBudget) the wider witness budget finds
+	// a hierarchy after all.
+	g := graph.ConnectedErdosRenyi(600, 5.0/600, rng)
 	w := graph.UniformRandomWeights(g, 1, 2, rng)
 	idx, err := Build(g, w, Options{Mode: Auto})
 	if err != nil {
@@ -260,6 +265,57 @@ func TestAutoFallsBackToALTOnDegeneracy(t *testing.T) {
 		t.Fatalf("explicit CH produced %q", idx.Kind())
 	}
 	checkEquivalence(t, g, w, idx, 100, rng)
+}
+
+// TestAutoBuildsHLWithTheWiderBudget: inputs on which the old 48-vertex
+// witness budget inserted enough needless shortcuts to push Auto off hub
+// labels. ConnectedErdosRenyi(800, 3/800) blew the shortcut guard and
+// fell back to ALT; its contraction now ends at 3.77·M shortcuts. A grid
+// whose weights span only [1, 2] is full of near-equal detours that a
+// search must look further to rule out; its labels blew their guard and
+// Auto served CH.
+func TestAutoBuildsHLWithTheWiderBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		input func(rng *rand.Rand) *graph.Graph
+	}{
+		{"ConnectedErdosRenyi(800, 3/800)", 29, func(rng *rand.Rand) *graph.Graph { return graph.ConnectedErdosRenyi(800, 3.0/800, rng) }},
+		{"Grid(150) U[1,2]", 1, func(*rand.Rand) *graph.Graph { return graph.Grid(150) }},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		g := tc.input(rng)
+		w := graph.UniformRandomWeights(g, 1, 2, rng)
+		idx, err := Build(g, w, Options{Mode: Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Kind() != "hl" {
+			t.Fatalf("Auto on %s built %q, want hl", tc.name, idx.Kind())
+		}
+		checkEquivalence(t, g, w, idx, 200, rng)
+	}
+}
+
+// TestGuardAbortsEarlyOnRandomGraph: on a sparse random graph the
+// guarded contraction gives up on the shortcut rate, before it has
+// contracted half the vertices, instead of running on until the total
+// shortcut count passes maxShortcutFactor * M.
+func TestGuardAbortsEarlyOnRandomGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	g := graph.ConnectedErdosRenyi(3000, 8.0/3000, rng)
+	w := graph.UniformRandomWeights(g, 1, 2, rng)
+	p := prepare(g, w)
+	b := newCHBuilder(p)
+	if err := b.contract(true); !errors.Is(err, errDegenerate) {
+		t.Fatalf("guarded contraction returned %v, want errDegenerate", err)
+	}
+	if 2*b.contracted >= p.n {
+		t.Fatalf("guard fired after %d of %d vertices, want fewer than half", b.contracted, p.n)
+	}
+	if b.shortcuts > int64(maxShortcutFactor*p.m()) {
+		t.Fatalf("guard fired at %d shortcuts, past the total bound %d", b.shortcuts, maxShortcutFactor*p.m())
+	}
 }
 
 func TestParseMode(t *testing.T) {

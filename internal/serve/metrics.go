@@ -70,6 +70,8 @@ type metricsSnapshot struct {
 	Queries     uint64 `json:"queries"`
 	Errors      uint64 `json:"errors"`
 	Rejected429 uint64 `json:"rejected_429"`
+	// CacheHits and CacheMisses count result-cache lookups, which
+	// only point queries make.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	LatencyNS   struct {

@@ -132,9 +132,11 @@ func (rel *release) done() {
 }
 
 // cacheStats reports the oracle's result-cache counters when the
-// serving path has one (indexed synthetic oracles). Reading rel.oracle
-// is only safe after ready closes (handleCreate publishes it through
-// that close); a still-materializing release reports zeros.
+// serving path has one (indexed synthetic oracles). Only point queries
+// consult the cache, so batch and stream pairs count in neither.
+// Reading rel.oracle is only safe after ready closes (handleCreate
+// publishes it through that close); a still-materializing release
+// reports zeros.
 func (rel *release) cacheStats() (hits, misses uint64) {
 	select {
 	case <-rel.ready:
