@@ -20,8 +20,9 @@ import (
 // Faults are decided before the request is forwarded, so an injected
 // error never half-executes a downstream request.
 type ChaosTransport struct {
-	// Base performs the real request; nil means
-	// http.DefaultTransport.
+	// Base performs the real request; nil means a NewTransport, the
+	// transport a coordinator uses when Config.Transport is nil, so the
+	// flags rehearse the production hop.
 	Base http.RoundTripper
 	// Latency is added to every matched request before it is forwarded.
 	Latency time.Duration
@@ -42,6 +43,7 @@ type ChaosTransport struct {
 	once sync.Once
 	mu   sync.Mutex
 	rng  *rand.Rand
+	rt   http.RoundTripper // Base, or the transport made for a nil Base
 }
 
 // ErrChaosInjected is the synthetic transport failure injected by
@@ -54,6 +56,10 @@ func (t *ChaosTransport) init() {
 		seed = time.Now().UnixNano()
 	}
 	t.rng = rand.New(rand.NewSource(seed))
+	t.rt = t.Base
+	if t.rt == nil {
+		t.rt = NewTransport()
+	}
 }
 
 // roll draws one uniform [0,1) sample under the lock.
@@ -65,10 +71,16 @@ func (t *ChaosTransport) roll() float64 {
 }
 
 func (t *ChaosTransport) base() http.RoundTripper {
-	if t.Base != nil {
-		return t.Base
+	t.once.Do(t.init)
+	return t.rt
+}
+
+// CloseIdleConnections passes through to the wrapped transport, so
+// Coordinator.Stop reaches its idle connections.
+func (t *ChaosTransport) CloseIdleConnections() {
+	if ci, ok := t.base().(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
 	}
-	return http.DefaultTransport
 }
 
 func (t *ChaosTransport) RoundTrip(r *http.Request) (*http.Response, error) {

@@ -26,12 +26,17 @@ const (
 	mode500  = "500"  // every request answers 500
 	modeHang = "hang" // every request blocks until its context dies
 	modeKill = "kill" // every connection is severed mid-request (process killed)
+	// modeStall blocks point queries until their context dies, counting
+	// each in stalled; probes still answer, so the breaker stays closed
+	// unless the coordinator blames the replica.
+	modeStall = "stall"
 )
 
 // testReplica is one in-process `serve` daemon behind a fault switch.
 type testReplica struct {
-	ts   *httptest.Server
-	mode atomic.Value
+	ts      *httptest.Server
+	mode    atomic.Value
+	stalled atomic.Int64 // stalled point queries whose context died
 }
 
 func (r *testReplica) set(mode string) { r.mode.Store(mode) }
@@ -53,7 +58,7 @@ const fleetReleaseSpec = `{"name":"main","mechanism":"release","epsilon":2,"seed
 // release "main" (identical seed, so bit-identical released values —
 // the single-node oracle from fleetOracle is ground truth for every
 // replica), each behind a fault switch starting at modeOK.
-func newTestFleet(t *testing.T, n int) []*testReplica {
+func newTestFleet(t testing.TB, n int) []*testReplica {
 	t.Helper()
 	g, w := fleetGraph()
 	fleet := make([]*testReplica, n)
@@ -70,6 +75,13 @@ func newTestFleet(t *testing.T, n int) []*testReplica {
 				<-r.Context().Done()
 			case modeKill:
 				panic(http.ErrAbortHandler)
+			case modeStall:
+				if strings.HasSuffix(r.URL.Path, "/distance") {
+					<-r.Context().Done()
+					rep.stalled.Add(1)
+					return
+				}
+				inner.ServeHTTP(wr, r)
 			default:
 				inner.ServeHTTP(wr, r)
 			}
@@ -92,7 +104,7 @@ func newTestFleet(t *testing.T, n int) []*testReplica {
 
 // fleetOracle materializes the same seeded release locally: the
 // single-node ground truth every proxied answer must equal.
-func fleetOracle(t *testing.T) dpgraph.DistanceOracle {
+func fleetOracle(t testing.TB) dpgraph.DistanceOracle {
 	t.Helper()
 	g, w := fleetGraph()
 	spec := dpgraph.ReleaseSpec{Mechanism: "release", Epsilon: 2, Seed: 7}
@@ -105,7 +117,7 @@ func fleetOracle(t *testing.T) dpgraph.DistanceOracle {
 
 // newTestCoordinator wires a coordinator over the fleet and fronts it
 // with an httptest server.
-func newTestCoordinator(t *testing.T, fleet []*testReplica, cfg Config) (*Coordinator, *httptest.Server) {
+func newTestCoordinator(t testing.TB, fleet []*testReplica, cfg Config) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	for _, rep := range fleet {
 		cfg.Replicas = append(cfg.Replicas, rep.url())
@@ -561,70 +573,84 @@ func TestClusterFallbackMatchesReplica(t *testing.T) {
 	}
 }
 
-// TestClusterHedging: a fixed hedge delay rescues point queries whose
-// primary is slow — answers come from the fast replica in hedge time,
-// not slow-replica time.
+// TestClusterHedging pins the hedging contract without timing luck.
+// ReplicationFactor 1 makes the ring's first replica for "main" the
+// primary of every query and the other the hedge target.
 func TestClusterHedging(t *testing.T) {
-	g, w := fleetGraph()
-	slow := serve.New(g, w, serve.Config{AllowSeeded: true})
-	slowInner := slow.Handler()
-	slowTS := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.URL.Path, "/distance") {
-			select {
-			case <-time.After(300 * time.Millisecond):
-			case <-r.Context().Done():
-				return
+	oracle := fleetOracle(t)
+	setup := func(t *testing.T, hedgeDelay time.Duration) (c *Coordinator, base string, primary, backup *testReplica) {
+		fleet := newTestFleet(t, 2)
+		c, ts := newTestCoordinator(t, fleet, Config{
+			ProbeInterval:     time.Hour, // the breaker moves only on live traffic
+			ReplicationFactor: 1,
+			HedgeDelay:        hedgeDelay,
+		})
+		primary, backup = fleet[0], fleet[1]
+		if cands := c.candidates("main"); cands[0].url != primary.url() {
+			primary, backup = backup, primary
+		}
+		return c, ts.URL, primary, backup
+	}
+	check := func(t *testing.T, base string, i int, servedBy string, hedged bool) {
+		t.Helper()
+		status, ans, hdr := queryPoint(t, base, i%4, 15)
+		want, _ := oracle.Distance(i%4, 15)
+		if status != http.StatusOK || ans.Value == nil || *ans.Value != want {
+			t.Fatalf("query %d: status %d, value %v, oracle says %g", i, status, ans.Value, want)
+		}
+		if got := hdr.Get("X-Served-By"); got != servedBy {
+			t.Errorf("query %d: X-Served-By %q, want %q", i, got, servedBy)
+		}
+		if got := hdr.Get("X-Hedged") == "1"; got != hedged {
+			t.Errorf("query %d: hedged = %v, want %v", i, got, hedged)
+		}
+	}
+
+	t.Run("a stalled primary is rescued and cancelled", func(t *testing.T) {
+		c, base, primary, backup := setup(t, 5*time.Millisecond)
+		primary.set(modeStall)
+		const queries = 8
+		for i := 0; i < queries; i++ {
+			check(t, base, i, backup.url(), true)
+		}
+		if h, w := c.metrics.hedges.Load(), c.metrics.hedgeWins.Load(); h != queries || w != queries {
+			t.Errorf("hedges %d, hedge wins %d; want %d each", h, w, queries)
+		}
+		// The winning hedge cancels the primary, which the replica sees
+		// as its request context dying.
+		deadline := time.Now().Add(5 * time.Second)
+		for primary.stalled.Load() < queries && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := primary.stalled.Load(); n != queries {
+			t.Errorf("the stalled primary saw %d of %d requests cancelled", n, queries)
+		}
+		for _, rep := range c.snapshotReplicas() {
+			if st := rep.status(); st.State != "healthy" || st.Failures != 0 {
+				t.Errorf("replica %s: state %q with %d failures; a cancelled loser must not feed the breaker", st.URL, st.State, st.Failures)
 			}
 		}
-		slowInner.ServeHTTP(wr, r)
-	}))
-	t.Cleanup(slowTS.Close)
-	resp, err := http.Post(slowTS.URL+"/v1/releases", "application/json", strings.NewReader(fleetReleaseSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	fast := newTestFleet(t, 1)
-	c, err := New(Config{
-		Replicas:      []string{slowTS.URL, fast[0].url()},
-		ProbeInterval: 200 * time.Millisecond,
-		HedgeDelay:    10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
-	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(ts.Close)
-	oracle := fleetOracle(t)
 
-	start := time.Now()
-	const queries = 10
-	for i := 0; i < queries; i++ {
-		status, ans, _ := queryPoint(t, ts.URL, i%4, 15)
-		if status != http.StatusOK {
-			t.Fatalf("hedged query %d: status %d", i, status)
+	t.Run("a failed primary hedges at once", func(t *testing.T) {
+		c, base, primary, backup := setup(t, time.Hour)
+		primary.set(mode500)
+		check(t, base, 0, backup.url(), true)
+		if h, r := c.metrics.hedges.Load(), c.metrics.retries.Load(); h != 1 || r != 0 {
+			t.Errorf("hedges %d, retries %d; want 1 and 0", h, r)
 		}
-		want, _ := oracle.Distance(i%4, 15)
-		if ans.Value == nil || *ans.Value != want {
-			t.Fatalf("hedged query %d = %v, oracle says %g", i, ans.Value, want)
+	})
+
+	t.Run("a prompt primary starts no hedge", func(t *testing.T) {
+		c, base, primary, _ := setup(t, time.Hour)
+		const queries = 8
+		for i := 0; i < queries; i++ {
+			check(t, base, i, primary.url(), false)
 		}
-	}
-	elapsed := time.Since(start)
-	// Without hedging, every query landing on the slow primary costs
-	// 300ms; round-robin sends half there, so 10 queries would need
-	// >= 1.5s. Hedged, each costs ~hedge delay + a fast answer.
-	if elapsed > 1200*time.Millisecond {
-		t.Errorf("%d hedged queries took %v; hedging is not rescuing slow primaries", queries, elapsed)
-	}
-	if c.metrics.hedges.Load() == 0 {
-		t.Error("hedge metric still zero")
-	}
-	if c.metrics.hedgeWins.Load() == 0 {
-		t.Error("hedge-win metric still zero")
-	}
+		if h, n := c.metrics.hedges.Load(), c.metrics.proxied.Load(); h != 0 || n != queries {
+			t.Errorf("hedges %d, attempts %d; want 0 and %d", h, n, queries)
+		}
+	})
 }
 
 // TestClusterRetryBudget: a pool that fails everything drains the

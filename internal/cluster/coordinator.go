@@ -34,9 +34,13 @@
 //     handlers, so fallback answers carry the replica's wire format and
 //     error bound — and otherwise sheds with 503 + Retry-After.
 //
-// The downstream transport is injectable; ChaosTransport implements
-// the `-chaos-*` fault-injection flags and doubles as the test harness
-// for the kill/hang/slow convergence tests.
+// Downstream requests go out on Transport, an HTTP/1.1 round-tripper
+// that runs each exchange on the handler's goroutine over keep-alive
+// connections; a point query's primary attempt runs there too, and a
+// hedge costs a goroutine only when its timer fires. The transport is
+// injectable; ChaosTransport wraps it for the `-chaos-*`
+// fault-injection flags and doubles as the test harness for the
+// kill/hang/slow convergence tests.
 package cluster
 
 import (
@@ -50,6 +54,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,8 +121,9 @@ type Config struct {
 	// VerifyKey, when set, requires every fallback snapshot to carry a
 	// signature verifying against it.
 	VerifyKey ed25519.PublicKey
-	// Transport performs the proxied requests; nil means a dedicated
-	// http.Transport with per-replica keep-alive pools. Wrap it in a
+	// Transport performs the proxied requests and health probes; nil
+	// means a NewTransport, which keeps up to 64 idle keep-alive
+	// connections per replica and closes them at Stop. Wrap it in a
 	// ChaosTransport to inject faults.
 	Transport http.RoundTripper
 	// Logf, when set, receives one line per routing event (evictions,
@@ -226,11 +232,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
+		transport = NewTransport()
 	}
 	c := &Coordinator{
 		cfg:       cfg,
@@ -324,10 +326,12 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Stop halts the prober and waits for it to exit.
+// Stop halts the prober, waits for it to exit, and closes the
+// transport's idle connections.
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stopc) })
 	c.proberWG.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // StartDrain flips /readyz so load balancers stop sending; proxied
@@ -571,8 +575,10 @@ func (c *Coordinator) observePointLatency(d time.Duration) {
 // for the p99 hedge-delay estimate.
 type latencySampler struct {
 	n    atomic.Uint64
-	ring [512]atomic.Int64
+	ring [latencySamples]atomic.Int64
 }
+
+const latencySamples = 512
 
 func (l *latencySampler) record(d time.Duration) uint64 {
 	i := l.n.Add(1) - 1
@@ -585,15 +591,15 @@ func (l *latencySampler) p99() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	if n > uint64(len(l.ring)) {
-		n = uint64(len(l.ring))
+	// It runs on every hedgeRecomputeEvery-th point request, so the
+	// copy stays on the stack.
+	var buf [latencySamples]int64
+	s := buf[:min(n, latencySamples)]
+	for i := range s {
+		s[i] = l.ring[i].Load()
 	}
-	buf := make([]int64, n)
-	for i := range buf {
-		buf[i] = l.ring[i].Load()
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return time.Duration(buf[int(0.99*float64(len(buf)-1))])
+	slices.Sort(s)
+	return time.Duration(s[int(0.99*float64(len(s)-1))])
 }
 
 // ---------------------------------------------------------------------
@@ -651,7 +657,19 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq,
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
+	// The replica is healthy and any other replica would give the same
+	// answer: an oversized one gets no breaker entry and no retry (see
+	// execute). A declared length is refused before its body is read.
+	var respBody []byte
+	switch {
+	case resp.ContentLength > c.cfg.MaxBodyBytes:
+		return proxyResult{}, c.answerTooLarge()
+	case resp.ContentLength >= 0:
+		respBody = make([]byte, resp.ContentLength)
+		_, err = io.ReadFull(resp.Body, respBody)
+	default:
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
+	}
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			c.noteRequestFailure(rep, err)
@@ -659,9 +677,7 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq,
 		return proxyResult{}, err
 	}
 	if int64(len(respBody)) > c.cfg.MaxBodyBytes {
-		// The replica is healthy and any other replica would give the
-		// same answer: no breaker entry, and no retry (see execute).
-		return proxyResult{}, fmt.Errorf("%w of %d bytes; split the request", errAnswerTooLarge, c.cfg.MaxBodyBytes)
+		return proxyResult{}, c.answerTooLarge()
 	}
 	pr := proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody, rep: rep}
 	if breakerStatus(resp.StatusCode) {
@@ -677,6 +693,10 @@ var errNoReplicas = errors.New("no healthy replica")
 
 // errAnswerTooLarge marks a replica answer over MaxBodyBytes.
 var errAnswerTooLarge = errors.New("replica answer exceeds the coordinator body limit")
+
+func (c *Coordinator) answerTooLarge() error {
+	return fmt.Errorf("%w of %d bytes; split the request", errAnswerTooLarge, c.cfg.MaxBodyBytes)
+}
 
 // execute routes one buffered request with retries (and hedging for
 // point queries): attempts walk the candidate order with jittered
@@ -736,65 +756,68 @@ func (c *Coordinator) execute(ctx context.Context, release, method, pathq, conte
 	return proxyResult{}, lastErr
 }
 
-// attemptHedged races the primary candidate against one hedge fired
-// after the hedge delay; the first non-failure answer wins and the
-// loser's context is cancelled.
+// attemptHedged runs the primary candidate on the calling goroutine
+// and races one hedge against it on cands[1] once the hedge delay has
+// passed; the first usable answer wins and the loser's context is
+// cancelled. A primary that fails before the delay is hedged at once:
+// the delay only ever served to avoid duplicating healthy work. The
+// answer returned may still carry a retryable status for execute to
+// judge.
 func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, method, pathq, contentType string, body []byte) (proxyResult, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type out struct {
-		res proxyResult
-		err error
-	}
-	resc := make(chan out, 2)
-	launch := func(rep *replica, hedged bool) {
-		go func() {
-			res, err := c.sendOnce(actx, rep, method, pathq, contentType, body)
-			res.hedged = hedged
-			resc <- out{res, err}
-		}()
-	}
-	launch(cands[0], false)
-	inFlight := 1
-	hedgeFired := false
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
-	var lastErr error
-	for inFlight > 0 {
-		select {
-		case o := <-resc:
-			inFlight--
-			switch {
-			case o.err == nil && !retryableStatus(o.res.status):
-				if o.res.hedged {
-					c.metrics.hedgeWins.Add(1)
-				}
-				return o.res, nil
-			case errors.Is(o.err, errAnswerTooLarge):
-				return proxyResult{}, o.err
-			case o.err != nil:
-				lastErr = o.err
-			default:
-				lastErr = fmt.Errorf("replica %s answered status %d", o.res.rep.url, o.res.status)
-			}
-			// The primary failed fast: fire the backup immediately, the
-			// delay was only ever about not duplicating healthy work.
-			if !hedgeFired && inFlight == 0 && c.takeRetryToken() {
-				hedgeFired = true
-				c.metrics.hedges.Add(1)
-				launch(cands[1], true)
-				inFlight++
-			}
-		case <-timer.C:
-			if !hedgeFired && c.takeRetryToken() {
-				hedgeFired = true
-				c.metrics.hedges.Add(1)
-				launch(cands[1], true)
-				inFlight++
-			}
-		case <-ctx.Done():
-			return proxyResult{}, ctx.Err()
+	race := new(hedgeRace)
+	race.wg.Add(1)
+	hedge := func() {
+		defer race.wg.Done()
+		if !c.takeRetryToken() {
+			return
+		}
+		c.metrics.hedges.Add(1)
+		res, err := c.sendOnce(actx, cands[1], method, pathq, contentType, body)
+		res.hedged = true
+		race.res, race.err, race.sent = res, err, true
+		if usable(res, err) && race.won.CompareAndSwap(false, true) {
+			cancel() // the primary lost
 		}
 	}
-	return proxyResult{}, lastErr
+	timer := time.AfterFunc(c.hedgeDelay(), hedge)
+	res, err := c.sendOnce(actx, cands[0], method, pathq, contentType, body)
+	switch {
+	case usable(res, err) && race.won.CompareAndSwap(false, true),
+		errors.Is(err, errAnswerTooLarge):
+		timer.Stop()
+		return res, err
+	case ctx.Err() != nil:
+		timer.Stop()
+		return proxyResult{}, ctx.Err()
+	}
+	if timer.Stop() {
+		hedge()
+	} else {
+		race.wg.Wait() // the hedge is in flight, or the budget refused it
+	}
+	if !race.sent {
+		return res, err
+	}
+	if race.won.Load() {
+		c.metrics.hedgeWins.Add(1)
+	}
+	return race.res, race.err
+}
+
+// hedgeRace is what a hedge shares with the primary attempt it races:
+// the hedge's outcome, published when wg is done, and which side's
+// answer won.
+type hedgeRace struct {
+	won  atomic.Bool
+	wg   sync.WaitGroup
+	sent bool // the budget paid for the hedge and it was sent
+	res  proxyResult
+	err  error
+}
+
+// usable reports whether an attempt produced an answer to pass on.
+func usable(res proxyResult, err error) bool {
+	return err == nil && !retryableStatus(res.status)
 }
