@@ -6,10 +6,10 @@ import (
 )
 
 // TestOracleDistancesInto checks the allocation-free batch entry point:
-// every oracle implements BatchOracle, DistancesInto matches Distances
-// answer for answer (including repeated sources and duplicate targets,
-// which exercise the unindexed run/dedup path), and the error contract covers
-// mismatched buffers and invalid pairs.
+// DistancesInto matches Distances answer for answer (including repeated
+// sources and duplicate targets, which exercise the unindexed run/dedup
+// path), and the error contract covers mismatched buffers and invalid
+// pairs.
 func TestOracleDistancesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	kinds := []string{"release", "treesssp", "apsd"}
@@ -18,10 +18,6 @@ func TestOracleDistancesInto(t *testing.T) {
 			g := topologyFor(kind, 24, rng)
 			w := UniformRandomWeights(g, 0, 4, rng)
 			oracle := sessionOracle(t, kind, g, w, 8, mode)
-			bo, ok := oracle.(BatchOracle)
-			if !ok {
-				t.Fatalf("%s/%v oracle does not implement BatchOracle", kind, mode)
-			}
 			n := oracle.N()
 			pairs := make([]VertexPair, 0, 96)
 			for i := 0; i < 96; i++ {
@@ -39,7 +35,7 @@ func TestOracleDistancesInto(t *testing.T) {
 			for i := range got {
 				got[i] = -1
 			}
-			if err := bo.DistancesInto(pairs, got); err != nil {
+			if err := oracle.DistancesInto(pairs, got); err != nil {
 				t.Fatalf("%s/%v DistancesInto: %v", kind, mode, err)
 			}
 			for i := range want {
@@ -47,11 +43,11 @@ func TestOracleDistancesInto(t *testing.T) {
 					t.Fatalf("%s/%v pair %d: Distances=%g DistancesInto=%g", kind, mode, i, want[i], got[i])
 				}
 			}
-			if err := bo.DistancesInto(pairs, got[:len(got)-1]); err == nil {
+			if err := oracle.DistancesInto(pairs, got[:len(got)-1]); err == nil {
 				t.Fatalf("%s/%v: short out slice accepted", kind, mode)
 			}
 			bad := []VertexPair{{S: 0, T: n}}
-			if err := bo.DistancesInto(bad, make([]float64, 1)); err == nil {
+			if err := oracle.DistancesInto(bad, make([]float64, 1)); err == nil {
 				t.Fatalf("%s/%v: out-of-range pair accepted", kind, mode)
 			}
 		}
@@ -69,7 +65,6 @@ func TestOracleDistancesIntoAllocs(t *testing.T) {
 	w := UniformRandomWeights(g, 0, 4, rng)
 	for _, mode := range []QueryIndexMode{IndexOff, IndexHL} {
 		oracle := sessionOracle(t, "release", g, w, 9, mode)
-		bo := oracle.(BatchOracle)
 		n := oracle.N()
 		pairs := make([]VertexPair, 64)
 		for i := range pairs {
@@ -79,12 +74,12 @@ func TestOracleDistancesIntoAllocs(t *testing.T) {
 		// Warm the pools (and, indexed, the result cache: steady state
 		// for a cache-backed oracle means the keys already exist).
 		for i := 0; i < 4; i++ {
-			if err := bo.DistancesInto(pairs, out); err != nil {
+			if err := oracle.DistancesInto(pairs, out); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := bo.DistancesInto(pairs, out); err != nil {
+			if err := oracle.DistancesInto(pairs, out); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -41,25 +41,19 @@ type DistanceOracle interface {
 	// Oracles that search (unindexed synthetic graphs) group the batch
 	// by source so shared work is paid once.
 	Distances(pairs []VertexPair) ([]float64, error)
+	// DistancesInto is Distances into a buffer the caller owns: pairs[i]
+	// is answered into out[i], and out must have exactly len(pairs)
+	// elements. It allocates nothing in steady state, so callers that
+	// serve high query rates (the HTTP daemon's batch and stream
+	// handlers) reuse their buffers and the query path performs no heap
+	// allocation on either side of the interface.
+	DistancesInto(pairs []VertexPair, out []float64) error
 	// Bound returns an additive error bound on any single answered
 	// distance, holding except with probability gamma.
 	Bound(gamma float64) float64
 	// N returns the number of vertices the oracle serves; valid queries
 	// are pairs in [0, N).
 	N() int
-}
-
-// BatchOracle is the allocation-free batch entry point. All oracles
-// returned by this package implement it; callers that serve high query
-// rates (the HTTP daemon's batch and stream handlers) use DistancesInto
-// to answer batches into buffers they own and reuse, so the steady-state
-// query path performs no heap allocation on either side of the
-// interface.
-type BatchOracle interface {
-	DistanceOracle
-	// DistancesInto answers pairs[i] into out[i]. out must have exactly
-	// len(pairs) elements; the call allocates nothing in steady state.
-	DistancesInto(pairs []VertexPair, out []float64) error
 }
 
 // checkOracleVertices validates query endpoints against the oracle's

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,6 +39,7 @@ type testReplica struct {
 	ts      *httptest.Server
 	mode    atomic.Value
 	stalled atomic.Int64 // stalled point queries whose context died
+	hung    atomic.Int64 // requests that reached modeHang
 }
 
 func (r *testReplica) set(mode string) { r.mode.Store(mode) }
@@ -72,6 +75,7 @@ func newTestFleet(t testing.TB, n int) []*testReplica {
 			case mode500:
 				http.Error(wr, "injected failure", http.StatusInternalServerError)
 			case modeHang:
+				rep.hung.Add(1)
 				<-r.Context().Done()
 			case modeKill:
 				panic(http.ErrAbortHandler)
@@ -651,6 +655,154 @@ func TestClusterHedging(t *testing.T) {
 			t.Errorf("hedges %d, attempts %d; want 0 and %d", h, n, queries)
 		}
 	})
+}
+
+// TestClusterSnapshotProxy: a snapshot download through the coordinator
+// is the serving replica's artifact byte for byte, revalidates against
+// its ETag, skips a failing replica before the first byte, and does not
+// blame a replica for a client that walks away before the answer.
+// ReplicationFactor 1 makes the ring's first replica for "main" the
+// first candidate of every download.
+func TestClusterSnapshotProxy(t *testing.T) {
+	const path = "/v1/releases/main/snapshot"
+	setup := func(t *testing.T) (c *Coordinator, base string, primary, backup *testReplica) {
+		fleet := newTestFleet(t, 2)
+		c, ts := newTestCoordinator(t, fleet, Config{ProbeInterval: time.Hour, ReplicationFactor: 1})
+		primary, backup = fleet[0], fleet[1]
+		if cands := c.candidates("main"); cands[0].url != primary.url() {
+			primary, backup = backup, primary
+		}
+		return c, ts.URL, primary, backup
+	}
+	get := func(t *testing.T, url, ifNoneMatch string) (int, []byte, http.Header) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data, resp.Header
+	}
+	// Each replica sealed its own release, so the artifacts and ETags
+	// differ between replicas: compare with the one that served.
+	same := func(t *testing.T, base string, from *testReplica) string {
+		t.Helper()
+		status, data, hdr := get(t, base+path, "")
+		wantStatus, want, wantHdr := get(t, from.url()+path, "")
+		if status != http.StatusOK || wantStatus != http.StatusOK || len(want) == 0 {
+			t.Fatalf("status %d through the coordinator, %d from the replica", status, wantStatus)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("proxied artifact (%d bytes) differs from the replica's (%d bytes)", len(data), len(want))
+		}
+		for _, h := range []string{"ETag", "Content-Type", "Content-Disposition"} {
+			if hdr.Get(h) == "" || hdr.Get(h) != wantHdr.Get(h) {
+				t.Errorf("%s = %q, replica sent %q", h, hdr.Get(h), wantHdr.Get(h))
+			}
+		}
+		if got := hdr.Get("X-Served-By"); got != from.url() {
+			t.Errorf("X-Served-By = %q, want %q", got, from.url())
+		}
+		return hdr.Get("ETag")
+	}
+
+	t.Run("the artifact and its ETag are the replica's", func(t *testing.T) {
+		_, base, primary, _ := setup(t)
+		etag := same(t, base, primary)
+		status, data, hdr := get(t, base+path, etag)
+		if status != http.StatusNotModified || len(data) != 0 || hdr.Get("ETag") != etag {
+			t.Errorf("If-None-Match: status %d, %d body bytes, ETag %q; want the replica's 304 for %q", status, len(data), hdr.Get("ETag"), etag)
+		}
+	})
+
+	t.Run("a failing replica is skipped before the first byte", func(t *testing.T) {
+		c, base, primary, backup := setup(t)
+		primary.set(mode500)
+		same(t, base, backup)
+		if n := c.metrics.proxied.Load(); n != 2 {
+			t.Errorf("%d attempts, want 2", n)
+		}
+	})
+
+	t.Run("a client that walks away blames no replica", func(t *testing.T) {
+		c, _, primary, _ := setup(t)
+		primary.set(modeHang)
+		// Front the coordinator with a server that reports when the
+		// handler has returned, so the breaker is read after it moved.
+		h, done := c.Handler(), make(chan struct{})
+		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			defer close(done)
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(front.Close)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			for primary.hung.Load() == 0 && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+path, nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("status %d before the client cancelled", resp.StatusCode)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the coordinator's handler outlived the client by 5s")
+		}
+		for _, rep := range c.snapshotReplicas() {
+			if st := rep.status(); st.State != "healthy" || st.Failures != 0 {
+				t.Errorf("replica %s: state %q with %d failures; a client walking away is not the replica's fault", st.URL, st.State, st.Failures)
+			}
+		}
+	})
+}
+
+// TestClusterRedirectPassesThrough: the coordinator hands a replica's
+// redirect to the client as it came and does not follow it.
+func TestClusterRedirectPassesThrough(t *testing.T) {
+	var followed atomic.Int64
+	elsewhere := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		followed.Add(1)
+	}))
+	t.Cleanup(elsewhere.Close)
+	redirector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			io.WriteString(w, `{"status":"ready","releases":["main"]}`) //nolint:errcheck
+			return
+		}
+		http.Redirect(w, r, elsewhere.URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	}))
+	t.Cleanup(redirector.Close)
+	c, ts := newTestCoordinator(t, nil, Config{Replicas: []string{redirector.URL}, ProbeInterval: time.Hour})
+
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	const query = "/v1/releases/main/distance?s=0&t=15"
+	resp, err := client.Get(ts.URL + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get("Location") != elsewhere.URL+query {
+		t.Errorf("status %d, Location %q; want the replica's 307 to %s", resp.StatusCode, resp.Header.Get("Location"), elsewhere.URL+query)
+	}
+	if n := followed.Load(); n != 0 {
+		t.Errorf("the redirect target saw %d request(s), want 0", n)
+	}
+	if st := c.snapshotReplicas()[0].status(); st.State != "healthy" || st.Failures != 0 {
+		t.Errorf("replica state %q with %d failures; a redirect is an answer", st.State, st.Failures)
+	}
 }
 
 // TestClusterRetryBudget: a pool that fails everything drains the

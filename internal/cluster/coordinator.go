@@ -34,7 +34,10 @@
 //     handlers, so fallback answers carry the replica's wire format and
 //     error bound — and otherwise sheds with 503 + Retry-After.
 //
-// Downstream requests go out on Transport, an HTTP/1.1 round-tripper
+// Every proxied attempt is built in one place (send) and handed
+// straight to the round-tripper, with no http.Client in between: a
+// replica's redirect reaches the client as it was sent and is not
+// followed. The default round-tripper is Transport, an HTTP/1.1 client
 // that runs each exchange on the handler's goroutine over keep-alive
 // connections; a point query's primary attempt runs there too, and a
 // hedge costs a goroutine only when its timer fires. The transport is
@@ -121,10 +124,11 @@ type Config struct {
 	// VerifyKey, when set, requires every fallback snapshot to carry a
 	// signature verifying against it.
 	VerifyKey ed25519.PublicKey
-	// Transport performs the proxied requests and health probes; nil
-	// means a NewTransport, which keeps up to 64 idle keep-alive
-	// connections per replica and closes them at Stop. Wrap it in a
-	// ChaosTransport to inject faults.
+	// Transport performs the proxied requests and health probes, each
+	// handed straight to its RoundTrip, so a replica's redirect is
+	// passed through, not followed; nil means a NewTransport, which
+	// keeps up to 64 idle keep-alive connections per replica and closes
+	// them at Stop. Wrap it in a ChaosTransport to inject faults.
 	Transport http.RoundTripper
 	// Logf, when set, receives one line per routing event (evictions,
 	// re-admissions, fallback serves); nil discards them.
@@ -154,8 +158,7 @@ const retryBudgetBurst = 64.0
 // for concurrent use; construct with New, then Start the health
 // prober, and Stop it on shutdown.
 type Coordinator struct {
-	cfg    Config
-	client *http.Client
+	cfg Config // defaults filled in, Transport included
 
 	mu       sync.RWMutex
 	replicas map[string]*replica
@@ -230,13 +233,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = NewTransport()
+	if cfg.Transport == nil {
+		cfg.Transport = NewTransport()
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		client:    &http.Client{Transport: transport},
 		replicas:  make(map[string]*replica),
 		started:   time.Now(),
 		stopc:     make(chan struct{}),
@@ -331,7 +332,9 @@ func (c *Coordinator) Start() {
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stopc) })
 	c.proberWG.Wait()
-	c.client.CloseIdleConnections()
+	if ci, ok := c.cfg.Transport.(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
 }
 
 // StartDrain flips /readyz so load balancers stop sending; proxied
@@ -377,7 +380,7 @@ func (c *Coordinator) probeOne(rep *replica) {
 		c.noteProbeFailure(rep, err)
 		return
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.cfg.Transport.RoundTrip(req)
 	if err != nil {
 		c.noteProbeFailure(rep, err)
 		return
@@ -422,7 +425,13 @@ func (c *Coordinator) noteProbeFailure(rep *replica, err error) {
 }
 
 // noteRequestFailure records a failed live request against the breaker.
+// A cancelled attempt (a losing hedge, or the client walking away) is
+// the coordinator's doing, not the replica's, and is not recorded; a
+// deadline expiry is the replica's.
 func (c *Coordinator) noteRequestFailure(rep *replica, err error) {
+	if errors.Is(err, context.Canceled) {
+		return
+	}
 	rep.failures.Add(1)
 	if rep.markFailure(c.cfg.FailureThreshold) {
 		c.metrics.evictions.Add(1)
@@ -430,8 +439,12 @@ func (c *Coordinator) noteRequestFailure(rep *replica, err error) {
 	}
 }
 
-func (c *Coordinator) noteRequestSuccess(rep *replica) {
-	if rep.markSuccess(nil) {
+// noteStatus records a replica's answer against its breaker: a
+// breakerStatus is a failure, any other status a success.
+func (c *Coordinator) noteStatus(rep *replica, resp *http.Response) {
+	if breakerStatus(resp.StatusCode) {
+		c.noteRequestFailure(rep, fmt.Errorf("status %s", resp.Status))
+	} else if rep.markSuccess(nil) {
 		c.metrics.readmissions.Add(1)
 		c.logf("cluster: replica %s re-admitted (live request ok)", rep.url)
 	}
@@ -625,35 +638,48 @@ func retryableStatus(status int) bool {
 // replica's breaker: 5xx does, 429 is load shedding, not sickness.
 func breakerStatus(status int) bool { return status >= 500 }
 
-// sendOnce performs one downstream attempt against rep, buffering the
-// response. The context carries the remaining request deadline; the
-// remaining time also rides an X-Request-Deadline-Ms header so a
-// replica (or a human reading chaos logs) can see the budget it got.
-func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq, contentType string, body []byte) (proxyResult, error) {
+// forwardedHeaders are the client request headers every proxied
+// attempt carries.
+var forwardedHeaders = [...]string{"Content-Type", "If-None-Match"}
+
+// send is the one place a proxied request leaves for a replica: it
+// counts the attempt, forwards the client's forwardedHeaders, and hands
+// the request straight to the transport. A context deadline also rides
+// an X-Request-Deadline-Ms header so a replica (or a human reading
+// chaos logs) can see the budget it got. A transport failure feeds the
+// breaker (see noteRequestFailure); an answer's status is the caller's
+// to record with noteStatus once it has judged the body.
+func (c *Coordinator) send(ctx context.Context, rep *replica, method, pathq string, in http.Header, body io.Reader) (*http.Response, error) {
 	c.metrics.proxied.Add(1)
 	rep.requests.Add(1)
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, rep.url+pathq, rd)
+	req, err := http.NewRequestWithContext(ctx, method, rep.url+pathq, body)
 	if err != nil {
-		return proxyResult{}, err
+		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	for _, h := range forwardedHeaders {
+		if v := in.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set("X-Request-Deadline-Ms", strconv.FormatInt(time.Until(dl).Milliseconds(), 10))
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.cfg.Transport.RoundTrip(req)
 	if err != nil {
-		// A cancelled attempt (a losing hedge, or the client walking
-		// away) is the coordinator's doing, not the replica's — it must
-		// not feed the breaker. A deadline expiry is the replica's.
-		if !errors.Is(err, context.Canceled) {
-			c.noteRequestFailure(rep, err)
-		}
+		c.noteRequestFailure(rep, err)
+		return nil, err
+	}
+	return resp, nil
+}
+
+// sendOnce performs one buffered downstream attempt against rep.
+func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq string, in http.Header, body []byte) (proxyResult, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	resp, err := c.send(ctx, rep, method, pathq, in, rd)
+	if err != nil {
 		return proxyResult{}, err
 	}
 	defer resp.Body.Close()
@@ -671,21 +697,14 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq,
 		respBody, err = io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
 	}
 	if err != nil {
-		if !errors.Is(err, context.Canceled) {
-			c.noteRequestFailure(rep, err)
-		}
+		c.noteRequestFailure(rep, err)
 		return proxyResult{}, err
 	}
 	if int64(len(respBody)) > c.cfg.MaxBodyBytes {
 		return proxyResult{}, c.answerTooLarge()
 	}
-	pr := proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody, rep: rep}
-	if breakerStatus(resp.StatusCode) {
-		c.noteRequestFailure(rep, fmt.Errorf("status %s", resp.Status))
-	} else {
-		c.noteRequestSuccess(rep)
-	}
-	return pr, nil
+	c.noteStatus(rep, resp)
+	return proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody, rep: rep}, nil
 }
 
 // errNoReplicas marks a request that found no routable replica at all.
@@ -702,7 +721,7 @@ func (c *Coordinator) answerTooLarge() error {
 // point queries): attempts walk the candidate order with jittered
 // backoff, each bounded by the remaining deadline and the retry
 // budget.
-func (c *Coordinator) execute(ctx context.Context, release, method, pathq, contentType string, body []byte, hedge bool) (proxyResult, error) {
+func (c *Coordinator) execute(ctx context.Context, release, method, pathq string, in http.Header, body []byte, hedge bool) (proxyResult, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -736,9 +755,9 @@ func (c *Coordinator) execute(ctx context.Context, release, method, pathq, conte
 		var res proxyResult
 		var err error
 		if hedge && c.cfg.HedgeDelay >= 0 && len(cands) > 1 {
-			res, err = c.attemptHedged(ctx, cands, method, pathq, contentType, body)
+			res, err = c.attemptHedged(ctx, cands, method, pathq, in, body)
 		} else {
-			res, err = c.sendOnce(ctx, cands[0], method, pathq, contentType, body)
+			res, err = c.sendOnce(ctx, cands[0], method, pathq, in, body)
 		}
 		if errors.Is(err, errAnswerTooLarge) {
 			return proxyResult{}, err
@@ -763,7 +782,7 @@ func (c *Coordinator) execute(ctx context.Context, release, method, pathq, conte
 // the delay only ever served to avoid duplicating healthy work. The
 // answer returned may still carry a retryable status for execute to
 // judge.
-func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, method, pathq, contentType string, body []byte) (proxyResult, error) {
+func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, method, pathq string, in http.Header, body []byte) (proxyResult, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	race := new(hedgeRace)
@@ -774,7 +793,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, metho
 			return
 		}
 		c.metrics.hedges.Add(1)
-		res, err := c.sendOnce(actx, cands[1], method, pathq, contentType, body)
+		res, err := c.sendOnce(actx, cands[1], method, pathq, in, body)
 		res.hedged = true
 		race.res, race.err, race.sent = res, err, true
 		if usable(res, err) && race.won.CompareAndSwap(false, true) {
@@ -782,7 +801,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, cands []*replica, metho
 		}
 	}
 	timer := time.AfterFunc(c.hedgeDelay(), hedge)
-	res, err := c.sendOnce(actx, cands[0], method, pathq, contentType, body)
+	res, err := c.sendOnce(actx, cands[0], method, pathq, in, body)
 	switch {
 	case usable(res, err) && race.won.CompareAndSwap(false, true),
 		errors.Is(err, errAnswerTooLarge):

@@ -29,14 +29,15 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /v1/replicas", c.handleReplicaList)
 	mux.HandleFunc("POST /v1/replicas", c.handleReplicaRegister)
-	mux.HandleFunc("GET /v1/releases", c.handleReleaseList)
+	point, buffered := c.handleBuffered(true), c.handleBuffered(false)
+	mux.HandleFunc("GET /v1/releases", buffered)
 	mux.HandleFunc("POST /v1/releases", c.handleUnroutable)
 	mux.HandleFunc("DELETE /v1/releases/{name}", c.handleUnroutable)
 	mux.HandleFunc("POST /v1/releases/{name}", c.handleUnroutable) // {name}:import
 	mux.HandleFunc("GET /v1/releases/{name}/snapshot", c.handleSnapshotProxy)
-	mux.HandleFunc("GET /v1/releases/{name}/distance", c.handlePoint)
-	mux.HandleFunc("POST /v1/releases/{name}/distance", c.handlePoint)
-	mux.HandleFunc("POST /v1/releases/{name}/distances", c.handleBatch)
+	mux.HandleFunc("GET /v1/releases/{name}/distance", point)
+	mux.HandleFunc("POST /v1/releases/{name}/distance", point)
+	mux.HandleFunc("POST /v1/releases/{name}/distances", buffered)
 	mux.HandleFunc("POST /v1/releases/{name}/distances:stream", c.handleStreamProxy)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
@@ -178,83 +179,52 @@ func (c *Coordinator) handleUnroutable(w http.ResponseWriter, r *http.Request) {
 		"the coordinator does not proxy release lifecycle operations: materializing through the pool would give every replica different noise; distribute sealed snapshots to the replicas' -snapshot-dir (or POST :import to each) instead")
 }
 
-// proxyHeaders copies the downstream answer headers worth forwarding.
-func proxyHeaders(w http.ResponseWriter, res proxyResult) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+// answerHeaders are the replica answer headers a proxied answer keeps.
+var answerHeaders = [...]string{"Content-Type", "Content-Disposition", "ETag", "Location", "Retry-After"}
+
+// proxyHeaders copies a replica answer's answerHeaders and names the
+// replica that gave it.
+func proxyHeaders(w http.ResponseWriter, h http.Header, rep *replica) {
+	for _, k := range answerHeaders {
+		if v := h.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
 	}
-	if etag := res.header.Get("ETag"); etag != "" {
-		w.Header().Set("ETag", etag)
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Served-By", res.rep.url)
-	if res.hedged {
-		w.Header().Set("X-Hedged", "1")
-	}
+	w.Header().Set("X-Served-By", rep.url)
 }
 
-// handlePoint proxies one point query with retries and hedging.
-func (c *Coordinator) handlePoint(w http.ResponseWriter, r *http.Request) {
-	c.metrics.requests.Add(1)
-	c.earnRetryCredit()
-	release := r.PathValue("name")
-	body, contentType, ok := c.bufferBody(w, r)
-	if !ok {
-		return
+// handleBuffered proxies a request whose body is buffered so attempts
+// can be retried: point queries (point true) and, with point false,
+// batches and the release listing. A point query also hedges and feeds
+// the hedge delay's latency sample; a batch answer is big enough that
+// duplicating it is rarely worth it.
+func (c *Coordinator) handleBuffered(point bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c.metrics.requests.Add(1)
+		c.earnRetryCredit()
+		release := r.PathValue("name")
+		body, ok := c.bufferBody(w, r)
+		if !ok {
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
+		defer cancel()
+		start := time.Now()
+		res, err := c.execute(ctx, release, r.Method, requestPathQuery(r), r.Header, body, point)
+		if err != nil {
+			c.answerFallbackOrError(w, replayBody(r, body), release, err)
+			return
+		}
+		if point {
+			c.observePointLatency(time.Since(start))
+		}
+		proxyHeaders(w, res.header, res.rep)
+		if res.hedged {
+			w.Header().Set("X-Hedged", "1")
+		}
+		w.WriteHeader(res.status)
+		w.Write(res.body) //nolint:errcheck // the response is already committed
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
-	defer cancel()
-	start := time.Now()
-	res, err := c.execute(ctx, release, r.Method, requestPathQuery(r), contentType, body, true)
-	if err != nil {
-		c.answerFallbackOrError(w, replayBody(r, body), release, err)
-		return
-	}
-	c.observePointLatency(time.Since(start))
-	proxyHeaders(w, res)
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // the response is already committed
-}
-
-// handleBatch proxies one batch query with retries (no hedging: batch
-// answers are big enough that duplicating them is rarely worth it).
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	c.metrics.requests.Add(1)
-	c.earnRetryCredit()
-	release := r.PathValue("name")
-	body, contentType, ok := c.bufferBody(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
-	defer cancel()
-	res, err := c.execute(ctx, release, r.Method, requestPathQuery(r), contentType, body, false)
-	if err != nil {
-		c.answerFallbackOrError(w, replayBody(r, body), release, err)
-		return
-	}
-	proxyHeaders(w, res)
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // the response is already committed
-}
-
-// handleReleaseList proxies the release listing to the first replica
-// that answers; bodies are tiny so failover just retries the GET.
-func (c *Coordinator) handleReleaseList(w http.ResponseWriter, r *http.Request) {
-	c.metrics.requests.Add(1)
-	c.earnRetryCredit()
-	ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
-	defer cancel()
-	res, err := c.execute(ctx, "", http.MethodGet, "/v1/releases", "", nil, false)
-	if err != nil {
-		c.writeRouteError(w, err)
-		return
-	}
-	proxyHeaders(w, res)
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // the response is already committed
 }
 
 // handleSnapshotProxy forwards a snapshot download, streaming the
@@ -266,45 +236,24 @@ func (c *Coordinator) handleSnapshotProxy(w http.ResponseWriter, r *http.Request
 	release := r.PathValue("name")
 	ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
 	defer cancel()
-	cands := c.candidates(release)
-	if len(cands) == 0 {
-		c.writeRouteError(w, errNoReplicas)
-		return
-	}
-	var lastErr error
-	for _, rep := range cands {
-		c.metrics.proxied.Add(1)
-		rep.requests.Add(1)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+requestPathQuery(r), nil)
+	lastErr := errNoReplicas
+	for _, rep := range c.candidates(release) {
+		resp, err := c.send(ctx, rep, http.MethodGet, requestPathQuery(r), r.Header, nil)
 		if err != nil {
-			c.writeRouteError(w, err)
-			return
-		}
-		if inm := r.Header.Get("If-None-Match"); inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			c.noteRequestFailure(rep, err)
 			lastErr = err
+			if ctx.Err() != nil {
+				break // no other replica can answer in time either
+			}
 			continue
 		}
+		c.noteStatus(rep, resp)
 		if retryableStatus(resp.StatusCode) {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 			resp.Body.Close()
-			if breakerStatus(resp.StatusCode) {
-				c.noteRequestFailure(rep, fmt.Errorf("status %s", resp.Status))
-			}
 			lastErr = fmt.Errorf("replica %s answered status %d", rep.url, resp.StatusCode)
 			continue
 		}
-		c.noteRequestSuccess(rep)
-		for _, h := range []string{"Content-Type", "Content-Disposition", "ETag"} {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.Header().Set("X-Served-By", rep.url)
+		proxyHeaders(w, resp.Header, rep)
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body) //nolint:errcheck // the response is already committed
 		resp.Body.Close()
@@ -328,33 +277,17 @@ func (c *Coordinator) handleStreamProxy(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	rep := cands[0]
-	c.metrics.proxied.Add(1)
-	rep.requests.Add(1)
 	// Streams run without the point/batch deadline: they live as long
 	// as the client keeps pouring queries. The client's own context
 	// still cancels the proxy leg.
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, rep.url+requestPathQuery(r), r.Body)
+	resp, err := c.send(r.Context(), rep, http.MethodPost, requestPathQuery(r), r.Header, r.Body)
 	if err != nil {
-		c.writeRouteError(w, err)
-		return
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteRequestFailure(rep, err)
 		c.writeRouteError(w, err)
 		return
 	}
 	defer resp.Body.Close()
-	if breakerStatus(resp.StatusCode) {
-		c.noteRequestFailure(rep, fmt.Errorf("status %s", resp.Status))
-	} else {
-		c.noteRequestSuccess(rep)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.Header().Set("X-Served-By", rep.url)
+	c.noteStatus(rep, resp)
+	proxyHeaders(w, resp.Header, rep)
 	// Full duplex for the same reason the replica needs it: the client
 	// is still writing queries while answers flow back.
 	http.NewResponseController(w).EnableFullDuplex() //nolint:errcheck
@@ -379,9 +312,9 @@ func (c *Coordinator) handleStreamProxy(w http.ResponseWriter, r *http.Request) 
 
 // bufferBody reads a request body fully (bounded) so attempts can be
 // retried and hedged; GET requests pass through with a nil body.
-func (c *Coordinator) bufferBody(w http.ResponseWriter, r *http.Request) (body []byte, contentType string, ok bool) {
+func (c *Coordinator) bufferBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	if r.Body == nil || r.Method == http.MethodGet {
-		return nil, "", true
+		return nil, true
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
@@ -391,9 +324,9 @@ func (c *Coordinator) bufferBody(w http.ResponseWriter, r *http.Request) (body [
 		} else {
 			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		}
-		return nil, "", false
+		return nil, false
 	}
-	return data, r.Header.Get("Content-Type"), true
+	return data, true
 }
 
 // requestPathQuery rebuilds the downstream path + raw query.

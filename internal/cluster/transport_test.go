@@ -23,7 +23,7 @@ import (
 // idleConns counts the connections a coordinator's default transport
 // has parked.
 func idleConns(c *Coordinator) int {
-	tr := c.client.Transport.(*Transport)
+	tr := c.cfg.Transport.(*Transport)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	n := 0

@@ -30,12 +30,6 @@ type release struct {
 	oracle dpgraph.DistanceOracle
 	result dpgraph.Result
 
-	// into is the allocation-free batch entry: the oracle's own
-	// DistancesInto when it implements dpgraph.BatchOracle, an
-	// allocating adapter otherwise. Set by Server.publish; nil only for
-	// releases wired up directly in tests, which batchInto tolerates.
-	into func(pairs []dpgraph.VertexPair, out []float64) error
-
 	// envOnce guards the lazily built batch-envelope chunks: the
 	// constant JSON prefix up to "count": and the constant middle from
 	// there through `"results":[`. Everything per-request is appended
@@ -49,20 +43,6 @@ type release struct {
 	inflight chan struct{}
 
 	metrics releaseMetrics
-}
-
-// batchInto answers pairs into out through the fastest batch entry the
-// release has.
-func (rel *release) batchInto(pairs []dpgraph.VertexPair, out []float64) error {
-	if rel.into != nil {
-		return rel.into(pairs, out)
-	}
-	vals, err := rel.oracle.Distances(pairs)
-	if err != nil {
-		return err
-	}
-	copy(out, vals)
-	return nil
 }
 
 // inRange reports whether both endpoints are valid vertices. The

@@ -296,14 +296,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
-// publish makes a reserved release servable: it wires the
-// allocation-free batch entry and closes ready. The single publication
-// path for created, imported, and boot-restored releases.
+// publish makes a reserved release servable: it sets the oracle and
+// closes ready. The single publication path for created, imported, and
+// boot-restored releases.
 func (s *Server) publish(rel *release, oracle dpgraph.DistanceOracle, result dpgraph.Result) {
 	rel.oracle, rel.result = oracle, result
-	if bo, ok := oracle.(dpgraph.BatchOracle); ok {
-		rel.into = bo.DistancesInto
-	}
 	close(rel.ready)
 }
 
@@ -469,7 +466,7 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 		ws.vals = make([]float64, len(pairs))
 	}
 	values := ws.vals[:len(pairs)]
-	if err = rel.batchInto(pairs, values); err != nil {
+	if err = rel.oracle.DistancesInto(pairs, values); err != nil {
 		rel.metrics.errors.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -524,14 +524,18 @@ func (o *blockingOracle) Distance(s, t int) (float64, error) {
 
 func (o *blockingOracle) Distances(pairs []dpgraph.VertexPair) ([]float64, error) {
 	out := make([]float64, len(pairs))
+	return out, o.DistancesInto(pairs, out)
+}
+
+func (o *blockingOracle) DistancesInto(pairs []dpgraph.VertexPair, out []float64) error {
 	for i, p := range pairs {
 		d, err := o.Distance(p.S, p.T)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = d
 	}
-	return out, nil
+	return nil
 }
 
 func (o *blockingOracle) Bound(gamma float64) float64 { return 1 }

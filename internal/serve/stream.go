@@ -73,7 +73,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			vals = make([]float64, len(pairs))
 		}
 		out := vals[:len(pairs)]
-		if err := rel.batchInto(pairs, out); err != nil {
+		if err := rel.oracle.DistancesInto(pairs, out); err != nil {
 			fail(err)
 			return false
 		}
