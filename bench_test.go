@@ -22,6 +22,7 @@ import (
 	"repro/dpgraph"
 	"repro/internal/dp"
 	"repro/internal/experiment"
+	"repro/internal/snapshot"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -249,17 +250,21 @@ func BenchmarkFillLaplace(b *testing.B) {
 // serving the same ≥100k-edge indexed release: re-materializing it from
 // the private weights (budget charge + noise + contraction hierarchy)
 // versus unsealing a snapshot artifact (decode + index rehydration,
-// zero budget). Both sub-benchmarks end with one answered query, so
-// ns/op is the restore-to-first-answer latency.
+// zero budget). All sub-benchmarks end with one answered query, so
+// ns/op is the restore-to-first-answer latency. unseal restores the CH
+// release, unseal-hl the same release indexed with hub labels, which
+// it rebuilds from their sealed sources; unseal-hl also reports the
+// artifact's bytes per label entry (artifact-B/entry).
 // scripts/check_perf_guards.sh holds unseal to ≤3x one full Dijkstra
-// over the same grid (BenchmarkFullDijkstra in internal/graph/index).
+// over the same grid (BenchmarkFullDijkstra in internal/graph/index),
+// and unseal-hl's time and size to their own calibrated bounds.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	g := dpgraph.Grid(225) // 2*225*224 = 100,800 edges
 	w := make([]float64, g.M())
 	for i := range w {
 		w[i] = 1 + float64(i%7)/7
 	}
-	materialize := func() (dpgraph.DistanceOracle, dpgraph.Result) {
+	materialize := func(mode dpgraph.QueryIndexMode) (dpgraph.DistanceOracle, dpgraph.Result) {
 		pg, err := dpgraph.New(g, dpgraph.PrivateWeights(w),
 			dpgraph.WithEpsilon(1), dpgraph.WithDeterministicSeed(1))
 		if err != nil {
@@ -269,7 +274,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oracle, err := rel.IndexedOracle(dpgraph.IndexCH)
+		oracle, err := rel.IndexedOracle(mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,12 +288,12 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.Run("rematerialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			oracle, _ := materialize()
+			oracle, _ := materialize(dpgraph.IndexCH)
 			firstQuery(oracle)
 		}
 	})
-	b.Run("unseal", func(b *testing.B) {
-		oracle, rel := materialize()
+	unseal := func(b *testing.B, mode dpgraph.QueryIndexMode) []byte {
+		oracle, rel := materialize(mode)
 		var buf bytes.Buffer
 		if err := dpgraph.Seal(&buf, oracle, rel); err != nil {
 			b.Fatal(err)
@@ -304,6 +309,17 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 			firstQuery(sealed.Oracle())
 		}
+		return data
+	}
+	b.Run("unseal", func(b *testing.B) { unseal(b, dpgraph.IndexCH) })
+	b.Run("unseal-hl", func(b *testing.B) {
+		data := unseal(b, dpgraph.IndexHL)
+		b.StopTimer()
+		art, _, err := snapshot.Read(bytes.NewReader(data), snapshot.ReadOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(data))/float64(len(art.HLLabHub)), "artifact-B/entry")
 	})
 }
 

@@ -120,16 +120,15 @@ func Seal(w io.Writer, oracle DistanceOracle, result Result, opts ...SealOption)
 	}
 	art := &snapshot.Artifact{
 		Meta: snapshot.Meta{
-			FormatVersion: snapshot.FormatVersion,
-			Writer:        snapshot.WriterVersion(),
-			Mechanism:     ri.Mechanism,
-			Epsilon:       ri.Epsilon,
-			Delta:         ri.Delta,
-			NoiseScale:    ri.NoiseScale,
-			N:             n,
-			M:             m,
-			Directed:      o.g.Directed(),
-			Receipt:       receiptJSON,
+			Writer:     snapshot.WriterVersion(),
+			Mechanism:  ri.Mechanism,
+			Epsilon:    ri.Epsilon,
+			Delta:      ri.Delta,
+			NoiseScale: ri.NoiseScale,
+			N:          n,
+			M:          m,
+			Directed:   o.g.Directed(),
+			Receipt:    receiptJSON,
 		},
 		EdgeFrom: make([]uint32, m),
 		EdgeTo:   make([]uint32, m),
@@ -144,8 +143,11 @@ func Seal(w io.Writer, oracle DistanceOracle, result Result, opts ...SealOption)
 		if err != nil {
 			return fmt.Errorf("dpgraph: exporting query index: %w", err)
 		}
-		art.SetIndex(flat)
+		if err := art.SetIndex(flat); err != nil {
+			return fmt.Errorf("dpgraph: sealing query index: %w", err)
+		}
 	}
+	art.Meta.FormatVersion = snapshot.SealVersion(&art.Meta)
 	return snapshot.Write(w, art, snapshot.WriteOptions{SigningKey: cfg.signingKey})
 }
 

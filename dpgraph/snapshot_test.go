@@ -205,8 +205,8 @@ func TestSealSignedRoundTrip(t *testing.T) {
 //	dpgraph -graph ring.txt -eps 1 -seed 42 -index hl seal release
 //
 // It must keep unsealing, and answer all 36 pairs bit for bit like a
-// fresh version-3 seal of the same seeded release, which carries the
-// labels alone.
+// fresh seal of the same seeded release, which carries the hierarchy
+// and the labels' sources instead of their arena.
 func TestUnsealFormatVersion2HubLabels(t *testing.T) {
 	const ring = "graph 6\nedge 0 1 1\nedge 1 2 2\nedge 2 3 1\nedge 3 4 2\nedge 4 5 1\nedge 0 5 4\n"
 	old, err := os.ReadFile("testdata/ring-hl-v2.dpsnap")
@@ -239,8 +239,8 @@ func TestUnsealFormatVersion2HubLabels(t *testing.T) {
 	if v, names := sections(old); v != 2 || !strings.Contains(names, "ch_up_to") {
 		t.Fatalf("fixture is version %d with sections %s, want version 2 with CH sections", v, names)
 	}
-	if v, names := sections(fresh.Bytes()); v != snapshot.FormatVersion || strings.Contains(names, "ch_") {
-		t.Fatalf("fresh seal is version %d with sections %s, want version %d without CH sections", v, names, snapshot.FormatVersion)
+	if v, names := sections(fresh.Bytes()); v != 4 || !strings.Contains(names, "ch_up_to") || !strings.Contains(names, "hl_src") || strings.Contains(names, "hl_lab_hub") {
+		t.Fatalf("fresh seal is version %d with sections %s, want version 4 with the hierarchy and label sources", v, names)
 	}
 
 	a, err := Unseal(bytes.NewReader(old))
@@ -267,6 +267,100 @@ func TestUnsealFormatVersion2HubLabels(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Distance(%d,%d): version 2 answers %v, version %d answers %v", s, u, got, snapshot.FormatVersion, want)
 			}
+		}
+	}
+}
+
+// TestUnsealFormatVersion3HubLabels: testdata/ring-hl-v3.dpsnap is an
+// unsigned version-3 hub-label artifact, sealed as its label arena
+// alone from the ring release of TestUnsealFormatVersion2HubLabels
+// with the same command, before version 4 sealed labels as sources. It
+// must keep unsealing and answer all 36 pairs bit for bit like the
+// origin release. Having no hierarchy, the restored release re-seals
+// its label arena, at version 3, into the fixture's own bytes, which
+// unseal again to the same answers.
+func TestUnsealFormatVersion3HubLabels(t *testing.T) {
+	const ring = "graph 6\nedge 0 1 1\nedge 1 2 2\nedge 2 3 1\nedge 3 4 2\nedge 4 5 1\nedge 0 5 4\n"
+	old, err := os.ReadFile("testdata/ring-hl-v3.dpsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w, err := ParseGraph([]byte(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, _, err := ReleaseSpec{Mechanism: "release", Epsilon: 1, Seed: 42, Index: "hl"}.Materialize(g, PrivateWeights(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers := func(what string, o DistanceOracle) {
+		t.Helper()
+		for s := 0; s < g.N(); s++ {
+			for u := 0; u < g.N(); u++ {
+				want, err := origin.Distance(s, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := o.Distance(s, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Distance(%d,%d) = %v, origin answers %v", what, s, u, got, want)
+				}
+			}
+		}
+	}
+	sealed, err := Unseal(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("Unseal(version 3): %v", err)
+	}
+	if sealed.IndexKind() != "hl" {
+		t.Fatalf("index kind %q, want hl", sealed.IndexKind())
+	}
+	sameAnswers("version 3", sealed.Oracle())
+
+	var again bytes.Buffer
+	if err := Seal(&again, sealed.Oracle(), sealed); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := snapshot.Read(bytes.NewReader(again.Bytes()), snapshot.ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, ","); info.FormatVersion != 3 || got != "meta,edge_from,edge_to,weights,hl_lab_off,hl_lab_hub,hl_lab_dist" {
+		t.Fatalf("re-sealed version-3 release is version %d with sections %s, want version 3 with the label arena", info.FormatVersion, got)
+	}
+	if !bytes.Equal(again.Bytes(), old) {
+		t.Fatalf("re-sealing the version-3 release (writer %q, now %q) changed its bytes", sealed.WriterVersion(), info.Writer)
+	}
+	resealed, err := Unseal(&again)
+	if err != nil {
+		t.Fatalf("Unseal(re-sealed): %v", err)
+	}
+	sameAnswers("re-sealed", resealed.Oracle())
+}
+
+// TestResealReproducesBytes: a replica that unseals a release and seals
+// it again writes the origin's bytes, whatever its index; for hub
+// labels that means deriving the same sources from the rebuilt labels.
+func TestResealReproducesBytes(t *testing.T) {
+	for _, mode := range []QueryIndexMode{IndexOff, IndexCH, IndexALT, IndexHL} {
+		_, _, data := sealedRelease(t, 15, 31, mode)
+		sealed, err := Unseal(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := Seal(&again, sealed.Oracle(), sealed); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Errorf("%s: the re-sealed release (%d bytes) differs from the origin's (%d bytes)", mode, again.Len(), len(data))
 		}
 	}
 }
@@ -320,12 +414,11 @@ func TestSealRejectsNonSealable(t *testing.T) {
 func TestUnsealRejectsForgedReceipt(t *testing.T) {
 	art := &snapshot.Artifact{
 		Meta: snapshot.Meta{
-			FormatVersion: snapshot.FormatVersion,
-			Mechanism:     "release",
-			Epsilon:       1,
-			NoiseScale:    4,
-			N:             2,
-			M:             1,
+			Mechanism:  "release",
+			Epsilon:    1,
+			NoiseScale: 4,
+			N:          2,
+			M:          1,
 			// Receipt claims a different epsilon than the metadata.
 			Receipt: json.RawMessage(`{"mechanism":"release","epsilon":8,"time":"2026-01-02T03:04:05Z"}`),
 		},
@@ -333,6 +426,7 @@ func TestUnsealRejectsForgedReceipt(t *testing.T) {
 		EdgeTo:   []uint32{1},
 		Weights:  []float64{1.5},
 	}
+	art.Meta.FormatVersion = snapshot.SealVersion(&art.Meta)
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, art, snapshot.WriteOptions{}); err != nil {
 		t.Fatal(err)
@@ -400,6 +494,12 @@ func FuzzUnseal(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, v2)
+	// A version-3 hub-label artifact, sealed as its label arena.
+	v3, err := os.ReadFile("testdata/ring-hl-v3.dpsnap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, v3)
 	for _, s := range seeds {
 		f.Add(s)
 	}

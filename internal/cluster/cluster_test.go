@@ -40,6 +40,9 @@ type testReplica struct {
 	mode    atomic.Value
 	stalled atomic.Int64 // stalled point queries whose context died
 	hung    atomic.Int64 // requests that reached modeHang
+	// hangs receives, without blocking the replica, once a request
+	// reaches modeHang.
+	hangs chan struct{}
 }
 
 func (r *testReplica) set(mode string) { r.mode.Store(mode) }
@@ -68,7 +71,7 @@ func newTestFleet(t testing.TB, n int) []*testReplica {
 	for i := range fleet {
 		s := serve.New(g, w, serve.Config{AllowSeeded: true})
 		inner := s.Handler()
-		rep := &testReplica{}
+		rep := &testReplica{hangs: make(chan struct{}, 1)}
 		rep.mode.Store(modeOK)
 		rep.ts = httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
 			switch rep.mode.Load() {
@@ -76,6 +79,10 @@ func newTestFleet(t testing.TB, n int) []*testReplica {
 				http.Error(wr, "injected failure", http.StatusInternalServerError)
 			case modeHang:
 				rep.hung.Add(1)
+				select {
+				case rep.hangs <- struct{}{}:
+				default:
+				}
 				<-r.Context().Done()
 			case modeKill:
 				panic(http.ErrAbortHandler)
@@ -503,6 +510,59 @@ func TestClusterFallback(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable || resp2.Header.Get("Retry-After") == "" {
 		t.Errorf("no-fallback release: status %d, Retry-After %q", resp2.StatusCode, resp2.Header.Get("Retry-After"))
+	}
+}
+
+// TestClusterClientGoneIsNotAPoolFailure: a point query whose client
+// hangs up while the only replica hangs is nobody's failure. The
+// coordinator holds a fallback for the release, yet it neither serves
+// the gone client from it nor counts the request as unavailable, and
+// the replica takes no blame.
+func TestClusterClientGoneIsNotAPoolFailure(t *testing.T) {
+	dir, _ := sealFleetSnapshot(t)
+	fleet := newTestFleet(t, 1)
+	c, _ := newTestCoordinator(t, fleet, Config{ProbeInterval: time.Hour, SnapshotDir: dir})
+	if !c.fallback.Has("main") {
+		t.Fatal("the coordinator holds no fallback for main")
+	}
+	fleet[0].set(modeHang)
+	// Front the coordinator with a server that reports when the handler
+	// has returned, so the counters are read after they could move.
+	h, done := c.Handler(), make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-fleet[0].hangs:
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/v1/releases/main/distance?s=0&t=15", nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("status %d before the client cancelled", resp.StatusCode)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the coordinator's handler outlived the client by 5s")
+	}
+	if n := c.metrics.fallbackServed.Load(); n != 0 {
+		t.Errorf("fallback_served = %d, want 0: the client was gone", n)
+	}
+	if n := c.metrics.unavailable.Load(); n != 0 {
+		t.Errorf("unavailable_503 = %d, want 0: a client hanging up is not a pool failure", n)
+	}
+	for _, rep := range c.snapshotReplicas() {
+		if st := rep.status(); st.Failures != 0 {
+			t.Errorf("replica %s: %d failures, want 0", st.URL, st.Failures)
+		}
 	}
 }
 

@@ -259,7 +259,7 @@ func (c *Coordinator) handleSnapshotProxy(w http.ResponseWriter, r *http.Request
 		resp.Body.Close()
 		return
 	}
-	c.writeRouteError(w, lastErr)
+	c.writeRouteError(w, r, lastErr)
 }
 
 // handleStreamProxy forwards the pipelined NDJSON endpoint to one
@@ -282,7 +282,7 @@ func (c *Coordinator) handleStreamProxy(w http.ResponseWriter, r *http.Request) 
 	// still cancels the proxy leg.
 	resp, err := c.send(r.Context(), rep, http.MethodPost, requestPathQuery(r), r.Header, r.Body)
 	if err != nil {
-		c.writeRouteError(w, err)
+		c.writeRouteError(w, r, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -343,9 +343,10 @@ func requestPathQuery(r *http.Request) string {
 // format, validation, and error bound match a replica's exactly),
 // otherwise the routing failure maps onto a client status.
 func (c *Coordinator) answerFallbackOrError(w http.ResponseWriter, r *http.Request, release string, routeErr error) {
-	// An oversized answer is the request's fault, not the pool's.
-	if errors.Is(routeErr, errAnswerTooLarge) || !c.fallback.Has(release) {
-		c.writeRouteError(w, routeErr)
+	// An oversized answer is the request's fault, not the pool's, and a
+	// client that hung up has nobody left to serve.
+	if errors.Is(routeErr, errAnswerTooLarge) || clientGone(r, routeErr) || !c.fallback.Has(release) {
+		c.writeRouteError(w, r, routeErr)
 		return
 	}
 	c.metrics.fallbackServed.Add(1)
@@ -361,12 +362,21 @@ func replayBody(r *http.Request, body []byte) *http.Request {
 	return r
 }
 
+// clientGone reports whether a routing failure is the request's own
+// cancellation: the client hung up, so no replica and no pool failed.
+func clientGone(r *http.Request, err error) bool {
+	return errors.Is(err, context.Canceled) && r.Context().Err() != nil
+}
+
 // writeRouteError maps a routing failure onto a status: 504 when the
 // request deadline expired, 503 + Retry-After when no replica was
 // routable, 502 for an answer over MaxBodyBytes and for pool-wide
-// failures.
-func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
+// failures. A client that hung up gets a 502 that nobody reads and
+// counts as neither.
+func (c *Coordinator) writeRouteError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case clientGone(r, err):
+		writeError(w, http.StatusBadGateway, "the client cancelled the request: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		c.metrics.deadlineExpired.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "request deadline expired while routing: %v", err)

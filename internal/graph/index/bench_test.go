@@ -146,3 +146,42 @@ func BenchmarkPairCache(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHLSources times the two halves of sealing hub labels as
+// sources on the same grid: deriving them from the built labels and
+// their hierarchy (derive, on the seal path), and rebuilding the labels
+// from them (rebuild, on the unseal path). It reports the sources'
+// bytes per label entry.
+func BenchmarkHLSources(b *testing.B) {
+	g, w := benchGraph(b)
+	idx, err := Build(g, w, Options{Mode: HL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := Export(idx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lens, src, err := HLSources(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("derive", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := HLSources(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(src))/float64(len(f.LabHub)), "B/entry")
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			re := &FlatIndex{Kind: "hl", UpOff: f.UpOff, UpTo: f.UpTo, UpWt: f.UpWt}
+			if err := RebuildLabels(re, lens, src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -14,8 +14,8 @@ import (
 // repeating construction. Only the expensive, non-derivable state is
 // exported — the CH upward graph (the product of contraction), the HL
 // label arena (one pruned merge of the upward neighbours' labels per
-// vertex; the hierarchy it was merged from is not part of an HL
-// index), and the ALT landmark distance rows (k full Dijkstras).
+// vertex) with the upward graph it was merged from, when known, and the
+// ALT landmark distance rows (k full Dijkstras).
 // Everything cheaply derivable from the topology and released weights
 // (the simplified CSR, component labels) is recomputed at rehydration
 // instead, which both shrinks snapshots and removes those arrays as a
@@ -32,7 +32,8 @@ type FlatIndex struct {
 
 	// Contraction hierarchy: the frozen upward CSR. UpOff has N+1
 	// entries; UpTo/UpWt hold one entry per upward edge (original or
-	// shortcut).
+	// shortcut). An "hl" index carries the hierarchy its labels were
+	// built from, or none when it was restored from labels alone.
 	UpOff []int32
 	UpTo  []int32
 	UpWt  []float64
@@ -47,6 +48,11 @@ type FlatIndex struct {
 	// (+Inf where the landmark cannot reach the vertex).
 	Landmarks int
 	LD        []float64
+
+	// rebuilt is set by RebuildLabels, which validated the hierarchy
+	// and produced labels that meet every arena invariant, so Rehydrate
+	// does not scan them again. The arrays must not change after.
+	rebuilt bool
 }
 
 // Export returns the flat-array form of an index built by Build. It
@@ -57,7 +63,10 @@ func Export(idx Index) (*FlatIndex, error) {
 	case *chIndex:
 		return &FlatIndex{Kind: "ch", UpOff: c.upOff, UpTo: c.upTo, UpWt: c.upWt}, nil
 	case *hlIndex:
-		return &FlatIndex{Kind: "hl", LabOff: c.labOff, LabHub: c.labHub, LabDist: c.labDist}, nil
+		return &FlatIndex{
+			Kind: "hl", UpOff: c.upOff, UpTo: c.upTo, UpWt: c.upWt,
+			LabOff: c.labOff, LabHub: c.labHub, LabDist: c.labDist,
+		}, nil
 	case *altIndex:
 		return &FlatIndex{Kind: "alt", Landmarks: c.k, LD: c.ld}, nil
 	}
@@ -70,7 +79,8 @@ func Export(idx Index) (*FlatIndex, error) {
 // are recomputed from the topology, so they cannot be lied about; the
 // flat arrays themselves are validated structurally (bounds, monotone
 // offsets, nonnegative finite weights) because they may arrive from an
-// untrusted snapshot. A structurally valid but semantically wrong array
+// untrusted snapshot, once: labels RebuildLabels produced were checked
+// as they were rebuilt. A structurally valid but semantically wrong array
 // set yields wrong distances, not unsafety — authenticity is the
 // snapshot signature's job, not this function's.
 func Rehydrate(g *graph.Graph, w []float64, f *FlatIndex) (Index, error) {
@@ -108,6 +118,19 @@ func Rehydrate(g *graph.Graph, w []float64, f *FlatIndex) (Index, error) {
 // query structure around them.
 func rehydrateCH(p *prepared, f *FlatIndex) (*chIndex, error) {
 	n := p.n
+	if _, err := checkUpward(n, f); err != nil {
+		return nil, err
+	}
+	c := &chIndex{n: n, comp: p.comp, upOff: f.UpOff, upTo: f.UpTo, upWt: f.UpWt}
+	c.pool.New = func() any {
+		return &chWorkspace{f: newSearchState(n), b: newSearchState(n)}
+	}
+	return c, nil
+}
+
+// checkUpward validates f's upward CSR over n vertices and returns the
+// topological order topoOrder finds for it.
+func checkUpward(n int, f *FlatIndex) ([]int32, error) {
 	if len(f.UpOff) != n+1 {
 		return nil, fmt.Errorf("index: CH upward offsets have %d entries for %d vertices (want %d)", len(f.UpOff), n, n+1)
 	}
@@ -136,22 +159,29 @@ func rehydrateCH(p *prepared, f *FlatIndex) (*chIndex, error) {
 	// Every contraction hierarchy's upward graph is acyclic (each edge
 	// climbs in rank); flat arrays carrying a cycle were never produced
 	// by a contraction.
-	if _, ok := topoOrder(n, f.UpOff, f.UpTo); !ok {
+	order, ok := topoOrder(n, f.UpOff, f.UpTo)
+	if !ok {
 		return nil, fmt.Errorf("index: CH upward graph is cyclic; not a contraction hierarchy")
 	}
-	c := &chIndex{n: n, comp: p.comp, upOff: f.UpOff, upTo: f.UpTo, upWt: f.UpWt}
-	c.pool.New = func() any {
-		return &chWorkspace{f: newSearchState(n), b: newSearchState(n)}
-	}
-	return c, nil
+	return order, nil
 }
 
-// rehydrateHL validates the label arena and rebuilds the query-ready
-// labeling; any upward-CSR fields are ignored.
+// rehydrateHL validates the label arena, and the hierarchy when f
+// carries one, then rebuilds the query-ready labeling. Arrays that
+// RebuildLabels produced were validated there and are not scanned
+// again.
 func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 	n := p.n
 	if len(f.LabOff) != n+1 {
 		return nil, fmt.Errorf("index: HL label offsets have %d entries for %d vertices (want %d)", len(f.LabOff), n, n+1)
+	}
+	if f.rebuilt {
+		return newHLIndex(n, p.comp, f), nil
+	}
+	if f.UpOff != nil {
+		if _, err := checkUpward(n, f); err != nil {
+			return nil, err
+		}
 	}
 	if f.LabOff[0] != 0 {
 		return nil, fmt.Errorf("index: HL label offsets must start at 0, got %d", f.LabOff[0])
@@ -184,7 +214,7 @@ func rehydrateHL(p *prepared, f *FlatIndex) (Index, error) {
 			return nil, fmt.Errorf("index: HL label distance %d is %g; want finite nonnegative", i, x)
 		}
 	}
-	return newHLIndex(n, p.comp, f.LabOff, f.LabHub, f.LabDist), nil
+	return newHLIndex(n, p.comp, f), nil
 }
 
 // rehydrateALT validates the landmark rows and rebuilds the A* index
@@ -210,8 +240,9 @@ func rehydrateALT(p *prepared, f *FlatIndex) (Index, error) {
 
 // topoOrder returns a topological order of the upward DAG that places
 // every edge's target before its source, or false when the claimed
-// upward graph is cyclic. Rehydration uses it only as the acyclicity
-// check: contraction ranks are not serialized.
+// upward graph is cyclic. Rehydration uses it as the acyclicity check
+// (contraction ranks are not serialized), and sealed hub labels list
+// their entries in this order.
 func topoOrder(n int, upOff, upTo []int32) ([]int32, bool) {
 	// pending[v] counts v's upward edges whose targets are not yet
 	// placed; rev is the CSR of reversed upward edges.

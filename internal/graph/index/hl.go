@@ -42,12 +42,18 @@ import (
 // hlIndex is the frozen, query-ready labeling: component ids plus a
 // label arena of three parallel flat arrays, vertex v's label occupying
 // labHub/labDist[labOff[v]:labOff[v+1]], sorted by ascending hub id.
-// The hierarchy the labels were built from is not kept: every query,
-// point or batch, is a label scan. tables pools the dense hub tables
-// the scan reads, 8n bytes each, one per query in flight.
+// Every query, point or batch, is a label scan. The upward CSR of the
+// hierarchy the labels were built from rides along for Export only,
+// which seals the labels as pointers into it (hlsource.go); it is nil
+// for labels restored without their hierarchy. tables pools the dense
+// hub tables the scan reads, 8n bytes each, one per query in flight.
 type hlIndex struct {
 	n    int
 	comp []int32
+
+	upOff []int32
+	upTo  []int32
+	upWt  []float64
 
 	labOff  []int64
 	labHub  []int32
@@ -64,10 +70,14 @@ type hlTable struct {
 	dist []float64
 }
 
-// newHLIndex wraps a validated label arena, with a table pool over its
-// n hubs.
-func newHLIndex(n int, comp []int32, labOff []int64, labHub []int32, labDist []float64) *hlIndex {
-	x := &hlIndex{n: n, comp: comp, labOff: labOff, labHub: labHub, labDist: labDist}
+// newHLIndex wraps f's validated label arena and the upward CSR it was
+// built from (nil when unknown), with a table pool over its n hubs.
+func newHLIndex(n int, comp []int32, f *FlatIndex) *hlIndex {
+	x := &hlIndex{
+		n: n, comp: comp,
+		upOff: f.UpOff, upTo: f.UpTo, upWt: f.UpWt,
+		labOff: f.LabOff, labHub: f.LabHub, labDist: f.LabDist,
+	}
 	x.tables.New = func() any {
 		dist := make([]float64, n)
 		for h := range dist {
@@ -157,8 +167,8 @@ type hlWork struct {
 // neighbours and of their hubs, all of strictly smaller depth, so every
 // read happens after the barrier that completed that level. A label
 // depends only on labels already built, never on which worker built
-// what, so the result is the same at any GOMAXPROCS. The result shares
-// only the component ids with ch, so the hierarchy itself can be
+// what, so the result is the same at any GOMAXPROCS. The result keeps
+// ch's component ids and upward CSR; the rest of the hierarchy can be
 // collected once labelling ends.
 func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 	n := ch.n
@@ -250,7 +260,10 @@ func buildHL(ch *chIndex, avgLabel int) (*hlIndex, error) {
 		copy(labHub[labOff[v]:], hubs[v])
 		copy(labDist[labOff[v]:], dists[v])
 	}
-	return newHLIndex(n, ch.comp, labOff, labHub, labDist), nil
+	return newHLIndex(n, ch.comp, &FlatIndex{
+		UpOff: ch.upOff, UpTo: ch.upTo, UpWt: ch.upWt,
+		LabOff: labOff, LabHub: labHub, LabDist: labDist,
+	}), nil
 }
 
 // labelVertex builds L(v) top-down from the labels of v's upward

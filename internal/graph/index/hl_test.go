@@ -36,10 +36,11 @@ func TestHLGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestHLStandsAlone: an HL index is its labels and component ids. It
-// exports no hierarchy, so a sealed HL artifact carries only the label
-// arena.
-func TestHLStandsAlone(t *testing.T) {
+// TestHLExportCarriesHierarchy: an HL index exports its labels with
+// the upward CSR of the hierarchy they were built from, the very arrays
+// a CH build over the same input exports, so its sealed form can name
+// each label entry by an upward edge.
+func TestHLExportCarriesHierarchy(t *testing.T) {
 	g, w := exportGrid(6)
 	idx, err := Build(g, w, Options{Mode: HL})
 	if err != nil {
@@ -49,11 +50,19 @@ func TestHLStandsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.UpOff != nil || f.UpTo != nil || f.UpWt != nil {
-		t.Fatalf("HL export carries a hierarchy: %d/%d/%d upward entries", len(f.UpOff), len(f.UpTo), len(f.UpWt))
-	}
 	if len(f.LabOff) != g.N()+1 || len(f.LabHub) == 0 || len(f.LabHub) != len(f.LabDist) {
 		t.Fatalf("HL export label arena: %d offsets, %d hubs, %d distances", len(f.LabOff), len(f.LabHub), len(f.LabDist))
+	}
+	ch, err := Build(g, w, Options{Mode: CH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := Export(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.UpOff, cf.UpOff) || !slices.Equal(f.UpTo, cf.UpTo) || !slices.Equal(f.UpWt, cf.UpWt) {
+		t.Fatalf("HL export hierarchy (%d upward edges) differs from the CH build's (%d)", len(f.UpTo), len(cf.UpTo))
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package snapshot implements the sealed release container: a
 // versioned binary artifact that carries one materialized release —
 // flat little-endian CSR arrays, the released weight vector, the
-// query-index arrays (CH upward graph, hub-label arena, or ALT
-// landmark rows), and the
-// JSON privacy receipt — between processes and machines. The container
-// is what makes a release shippable: materializing spends privacy
-// budget and runs contraction once, and every replica that unseals the
-// artifact gets a bit-identical oracle for free.
+// query-index arrays (CH upward graph, hub labels, or ALT landmark
+// rows), and the JSON privacy receipt — between processes and
+// machines. The container is what makes a release shippable:
+// materializing spends privacy budget and runs contraction once, and
+// every replica that unseals the artifact gets a bit-identical oracle
+// for free.
 //
 // Layout (all integers little-endian):
 //
@@ -27,22 +27,44 @@
 // kind holds, and Write, Read and the checks they share all loop over
 // it:
 //
-//	kind  name           element  length (elements)        carried by
-//	1     meta           JSON     the Meta document         every artifact
-//	2     edge_from      uint32   M                         every artifact
-//	3     edge_to        uint32   M                         every artifact
-//	4     weights        float64  M                         every artifact
-//	5     ch_up_off      int32    N+1                       ch; hl at version 2
-//	6     ch_up_to       int32    ch_up_off[N]              ch; hl at version 2
-//	7     ch_up_wt       float64  ch_up_off[N]              ch; hl at version 2
-//	8     alt_landmarks  float64  landmarks × N             alt
-//	9     hl_lab_off     int64    N+1                       hl (version 2+)
-//	10    hl_lab_hub     int32    hl_lab_off[N]             hl (version 2+)
-//	11    hl_lab_dist    float64  hl_lab_off[N]             hl (version 2+)
+//	kind  name           element  length (elements)   carried by
+//	1     meta           JSON     the Meta document    every artifact
+//	2     edge_from      uint32   M                    every artifact
+//	3     edge_to        uint32   M                    every artifact
+//	4     weights        float64  M                    every artifact
+//	5     ch_up_off      int32    N+1                  ch; hl at version 2; hl sources
+//	6     ch_up_to       int32    ch_up_off[N]         ch; hl at version 2; hl sources
+//	7     ch_up_wt       float64  ch_up_off[N]         ch; hl at version 2; hl sources
+//	8     alt_landmarks  float64  landmarks × N        alt
+//	9     hl_lab_off     int64    N+1                  hl arena (version 2+)
+//	10    hl_lab_hub     int32    hl_lab_off[N]        hl arena (version 2+)
+//	11    hl_lab_dist    float64  hl_lab_off[N]        hl arena (version 2+)
+//	12    hl_lab_len     uint32   N                    hl sources (version 4)
+//	13    hl_src         byte     meta hl_source_bytes hl sources (version 4)
 //
-// A version-2 "hl" artifact also carried the hierarchy its labels were
-// built from; the reader verifies those sections' digests, then drops
-// them. Version 3 seals "hl" as its labels alone.
+// Hub labels are sealed in one of two forms. The arena form (kinds
+// 9–11) stores every entry as its (hub, distance) pair. A version-2
+// arena artifact also carried the hierarchy the labels were built
+// from; the reader verifies those sections' digests, then drops them.
+// The sources form (version 4, meta hl_source_bytes > 0) stores the
+// hierarchy, each label's length, and a byte stream that names every
+// entry by two uvarints: the upward edge it came through and its
+// position in the label that edge leads to (index.HLSources). It is
+// about a quarter of the arena's size. Read rebuilds the arena from it
+// once every digest, and the signature when a key is given, has
+// verified, and no sooner: it allocates at most one entry per two
+// source bytes (index.RebuildLabels). A rebuilt distance is one
+// float64 addition of two sealed float64s, an upward-edge weight and
+// an entry of a higher label: the same two operands labelling added.
+// Go may fuse a multiplication into an addition, but there is none to
+// fuse, so both sides round the one IEEE 754 sum to nearest-even and
+// every platform rebuilds the origin's labels bit for bit. An "hl"
+// index that knows its hierarchy is sealed as sources; one restored
+// from an arena, which has none, as an arena.
+//
+// Write emits the version SealVersion gives: the oldest that carries
+// the artifact, so only hub labels sealed as sources need a version-4
+// reader.
 //
 // The manifest is the root of trust: it embeds each section's digest,
 // so the detached signature over the manifest bytes authenticates the
@@ -76,14 +98,15 @@ import (
 const (
 	magic = "DPGSNAP\x01"
 
-	// FormatVersion is the container version this package writes, the
-	// only one Write emits. Version 2 added the hub-label sections; version 3 seals
-	// an "hl" index as its labels alone, without the hierarchy they were
-	// built from. The reader still accepts every version down to
+	// FormatVersion is the newest container version. Version 2 added
+	// the hub-label sections; version 3 seals an "hl" index as its label
+	// arena alone, without the hierarchy it was built from; version 4
+	// adds the sources form of hub labels. Write emits version 3 or 4
+	// (see SealVersion), and the reader accepts every version down to
 	// MinFormatVersion: version-1 artifacts (CH/ALT/no index) unseal
 	// unchanged, and a version-2 "hl" artifact's CH sections are
 	// digest-verified, then dropped.
-	FormatVersion = 3
+	FormatVersion = 4
 
 	// MinFormatVersion is the oldest container version Read accepts.
 	MinFormatVersion = 1
@@ -116,9 +139,13 @@ type sectionSpec struct {
 	// count is the section's exact element count, from meta and the
 	// arrays of earlier sections; ok is false when those fix none.
 	count func(a *Artifact) (n uint64, ok bool)
-	// array points at the artifact's slice for the section: a
+	// array points at the artifact's slice for the section: a *[]byte,
 	// *[]uint32, *[]int32, *[]int64 or *[]float64. Nil for meta.
 	array func(a *Artifact) any
+	// arena marks the label-arena rows, which an artifact whose labels
+	// are sealed as sources holds too, rebuilt from them, while the
+	// container leaves them out.
+	arena bool
 }
 
 // sectionTable lists every section kind in file order; see the package
@@ -132,9 +159,11 @@ var sectionTable = [...]sectionSpec{
 	{kind: 6, name: "ch_up_to", carried: carriesCH, count: chArcs, array: func(a *Artifact) any { return &a.CHUpTo }},
 	{kind: 7, name: "ch_up_wt", carried: carriesCH, count: chArcs, array: func(a *Artifact) any { return &a.CHUpWt }},
 	{kind: 8, name: "alt_landmarks", carried: indexIs("alt"), count: landmarkRows, array: func(a *Artifact) any { return &a.ALTLandmarks }},
-	{kind: 9, name: "hl_lab_off", carried: indexIs("hl"), count: offsetCount, array: func(a *Artifact) any { return &a.HLLabOff }},
-	{kind: 10, name: "hl_lab_hub", carried: indexIs("hl"), count: hlEntries, array: func(a *Artifact) any { return &a.HLLabHub }},
-	{kind: 11, name: "hl_lab_dist", carried: indexIs("hl"), count: hlEntries, array: func(a *Artifact) any { return &a.HLLabDist }},
+	{kind: 9, name: "hl_lab_off", carried: carriesArena, count: offsetCount, array: func(a *Artifact) any { return &a.HLLabOff }, arena: true},
+	{kind: 10, name: "hl_lab_hub", carried: carriesArena, count: hlEntries, array: func(a *Artifact) any { return &a.HLLabHub }, arena: true},
+	{kind: 11, name: "hl_lab_dist", carried: carriesArena, count: hlEntries, array: func(a *Artifact) any { return &a.HLLabDist }, arena: true},
+	{kind: 12, name: "hl_lab_len", carried: carriesSources, count: vertexCount, array: func(a *Artifact) any { return &a.HLLabLen }},
+	{kind: 13, name: "hl_src", carried: carriesSources, count: sourceBytes, array: func(a *Artifact) any { return &a.HLSrc }},
 }
 
 func always(*Meta) bool { return true }
@@ -144,13 +173,22 @@ func indexIs(kind string) func(*Meta) bool {
 }
 
 // carriesCH: a "ch" index, or an "hl" index sealed at format version
-// 2, which also stored the hierarchy its labels were built from.
+// 2 or as sources, which both store the hierarchy its labels were built
+// from.
 func carriesCH(m *Meta) bool {
-	return m.Index == "ch" || (m.Index == "hl" && m.FormatVersion == 2)
+	return m.Index == "ch" || (m.Index == "hl" && (m.FormatVersion == 2 || m.HLSourceBytes > 0))
 }
 
+// carriesSources: hub labels sealed as sources (version 4).
+func carriesSources(m *Meta) bool { return m.Index == "hl" && m.HLSourceBytes > 0 }
+
+// carriesArena: hub labels sealed as their (hub, distance) arena.
+func carriesArena(m *Meta) bool { return m.Index == "hl" && m.HLSourceBytes == 0 }
+
 func edgeCount(a *Artifact) (uint64, bool)   { return uint64(a.Meta.M), true }
+func vertexCount(a *Artifact) (uint64, bool) { return uint64(a.Meta.N), true }
 func offsetCount(a *Artifact) (uint64, bool) { return uint64(a.Meta.N) + 1, true }
+func sourceBytes(a *Artifact) (uint64, bool) { return uint64(a.Meta.HLSourceBytes), true }
 func landmarkRows(a *Artifact) (uint64, bool) {
 	return uint64(a.Meta.Landmarks) * uint64(a.Meta.N), true
 }
@@ -197,6 +235,8 @@ func (s *sectionSpec) size(a *Artifact) (uint64, error) {
 // points at.
 func elemWidth(p any) uint64 {
 	switch p.(type) {
+	case *[]byte:
+		return 1
 	case *[]uint32, *[]int32:
 		return 4
 	}
@@ -206,6 +246,8 @@ func elemWidth(p any) uint64 {
 // arrayLen is the element count of the slice p points at.
 func arrayLen(p any) int {
 	switch s := p.(type) {
+	case *[]byte:
+		return len(*s)
 	case *[]uint32:
 		return len(*s)
 	case *[]int32:
@@ -277,11 +319,17 @@ type Meta struct {
 
 	// Index is the embedded query index kind: "" (none), "ch", "alt",
 	// or "hl" (format version 2+). It dictates which index sections
-	// must be present: CH for "ch", ALT for "alt", the label arena for
-	// "hl".
+	// must be present: CH for "ch", ALT for "alt", and for "hl" the
+	// label arena or, when HLSourceBytes is set, the hierarchy and the
+	// label sources.
 	Index string `json:"index,omitempty"`
 	// Landmarks is the ALT row count (0 unless Index == "alt").
 	Landmarks int `json:"landmarks,omitempty"`
+	// HLSourceBytes is the length of the hl_src section when hub labels
+	// are sealed as sources (format version 4), and 0 when they are
+	// sealed as an arena. Declaring it here puts the stream's length
+	// under the signature, so its table entry is checked, not trusted.
+	HLSourceBytes int64 `json:"hl_source_bytes,omitempty"`
 
 	// Receipt is the release's ledger entry, verbatim. It is carried —
 	// not re-charged — so a restored replica serves under the original
@@ -303,7 +351,8 @@ type Artifact struct {
 
 	// The index arrays, named after their sections; SetIndex and Index
 	// move them to and from index.FlatIndex. CHUpOff/CHUpTo/CHUpWt are
-	// the contraction-hierarchy upward CSR (Meta.Index == "ch").
+	// the contraction-hierarchy upward CSR (Meta.Index == "ch", or "hl"
+	// sealed as sources).
 	CHUpOff []int32
 	CHUpTo  []int32
 	CHUpWt  []float64
@@ -315,32 +364,81 @@ type Artifact struct {
 	// HLLabOff/HLLabHub/HLLabDist are the hub-label arena (Meta.Index
 	// == "hl"): vertex v's label is
 	// HLLabHub/HLLabDist[HLLabOff[v]:HLLabOff[v+1]], hubs ascending.
+	// Labels sealed as sources hold the arena too, rebuilt by Read, but
+	// Write seals the sources and leaves the arena out.
 	HLLabOff  []int64
 	HLLabHub  []int32
 	HLLabDist []float64
+
+	// HLLabLen and HLSrc are the sources form of the labels (Meta.
+	// HLSourceBytes > 0): each label's length, and two uvarints per
+	// entry (index.HLSources).
+	HLLabLen []uint32
+	HLSrc    []byte
+
+	// rebuilt is the flat index Read rebuilt the labels into, which
+	// index.Rehydrate takes without scanning again.
+	rebuilt *index.FlatIndex
 }
 
 // SetIndex stores f's kind and arrays in the artifact; the slices are
-// aliased, not copied.
-func (a *Artifact) SetIndex(f *index.FlatIndex) {
+// aliased, not copied. Hub labels that carry their hierarchy are sealed
+// as sources, which SetIndex derives here (index.HLSources), declaring
+// their length in the meta; labels without one are sealed as an arena.
+func (a *Artifact) SetIndex(f *index.FlatIndex) error {
 	a.Meta.Index, a.Meta.Landmarks = f.Kind, f.Landmarks
 	a.CHUpOff, a.CHUpTo, a.CHUpWt = f.UpOff, f.UpTo, f.UpWt
 	a.ALTLandmarks = f.LD
 	a.HLLabOff, a.HLLabHub, a.HLLabDist = f.LabOff, f.LabHub, f.LabDist
+	a.HLLabLen, a.HLSrc, a.Meta.HLSourceBytes, a.rebuilt = nil, nil, 0, nil
+	if f.Kind == "hl" && f.UpOff != nil {
+		lens, src, err := index.HLSources(f)
+		if err != nil {
+			return err
+		}
+		a.HLLabLen, a.HLSrc, a.Meta.HLSourceBytes = lens, src, int64(len(src))
+	}
+	return nil
+}
+
+// SealVersion is the container version an artifact with meta m is
+// sealed at, which m must declare: the oldest that carries it, so a
+// reader one version behind still reads every artifact that does not
+// need the newest form. Only hub labels sealed as sources need
+// version 4.
+func SealVersion(m *Meta) int {
+	if m.HLSourceBytes > 0 {
+		return 4
+	}
+	return 3
 }
 
 // Index returns the artifact's index arrays in the form
 // index.Rehydrate takes, or nil when it carries no index; the slices
-// alias the artifact.
+// alias the artifact. While the arrays are still the ones Read
+// rebuilt hub labels into, it returns the flat index that rebuild
+// validated, which Rehydrate takes without scanning it again.
 func (a *Artifact) Index() *index.FlatIndex {
 	if a.Meta.Index == "" {
 		return nil
 	}
-	return &index.FlatIndex{
+	f := &index.FlatIndex{
 		Kind: a.Meta.Index, UpOff: a.CHUpOff, UpTo: a.CHUpTo, UpWt: a.CHUpWt,
 		Landmarks: a.Meta.Landmarks, LD: a.ALTLandmarks,
 		LabOff: a.HLLabOff, LabHub: a.HLLabHub, LabDist: a.HLLabDist,
 	}
+	if r := a.rebuilt; r != nil && r.Kind == f.Kind &&
+		same(r.UpOff, f.UpOff) && same(r.UpTo, f.UpTo) && same(r.UpWt, f.UpWt) &&
+		same(r.LabOff, f.LabOff) && same(r.LabHub, f.LabHub) && same(r.LabDist, f.LabDist) {
+		return r
+	}
+	return f
+}
+
+// same reports whether x and y are the same slice: one backing array,
+// one length.
+func same[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // SectionInfo describes one section as recorded in the container.
@@ -396,6 +494,9 @@ func checkMeta(m *Meta, version uint32) error {
 		if version < 2 {
 			return invalidf("meta declares an HL index in a version-%d container (hub labels need version 2)", version)
 		}
+		if m.HLSourceBytes != 0 && version < 4 {
+			return invalidf("meta declares hub-label sources in a version-%d container (sources need version 4)", version)
+		}
 	case "alt":
 		if m.Landmarks < 1 || m.Landmarks > index.MaxLandmarks {
 			return invalidf("meta landmark count %d outside [1, %d]", m.Landmarks, index.MaxLandmarks)
@@ -408,6 +509,9 @@ func checkMeta(m *Meta, version uint32) error {
 	}
 	if m.Index != "alt" && m.Landmarks != 0 {
 		return invalidf("meta declares %d landmarks without an ALT index", m.Landmarks)
+	}
+	if m.HLSourceBytes < 0 || (m.Index != "hl" && m.HLSourceBytes != 0) {
+		return invalidf("meta declares %d hub-label source bytes for index %q", m.HLSourceBytes, m.Index)
 	}
 	if m.NoiseScale < 0 || math.IsNaN(m.NoiseScale) || math.IsInf(m.NoiseScale, 0) {
 		return invalidf("meta noise scale %g is not a finite nonnegative number", m.NoiseScale)

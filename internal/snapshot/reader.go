@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/graph/index"
 )
 
 // ReadOptions configures Read.
@@ -183,7 +185,7 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 	if err := checkEdges(art); err != nil {
 		return nil, nil, err
 	}
-	if art.Meta.Index == "hl" {
+	if art.Meta.Index == "hl" && art.Meta.FormatVersion == 2 {
 		// A version-2 "hl" artifact also carries the hierarchy its
 		// labels were built from; its digests verified above, and
 		// nothing serves from it.
@@ -253,6 +255,17 @@ func Read(r io.Reader, opts ReadOptions) (*Artifact, *Info, error) {
 		}
 		info.Verified = true
 	}
+	// Hub labels sealed as sources are rebuilt only now that every
+	// digest, and the signature when a key was given, has verified, so
+	// nothing the size of the labels is allocated for a forged or
+	// corrupt artifact.
+	if carriesSources(&art.Meta) {
+		f := &index.FlatIndex{Kind: "hl", UpOff: art.CHUpOff, UpTo: art.CHUpTo, UpWt: art.CHUpWt}
+		if err := index.RebuildLabels(f, art.HLLabLen, art.HLSrc); err != nil {
+			return nil, nil, invalidf("%v", err)
+		}
+		art.HLLabOff, art.HLLabHub, art.HLLabDist, art.rebuilt = f.LabOff, f.LabHub, f.LabDist, f
+	}
 	return art, info, nil
 }
 
@@ -320,6 +333,8 @@ func decodeArray(r io.Reader, p any, count uint64, buf []byte) error {
 			return err
 		}
 		switch s := p.(type) {
+		case *[]byte:
+			copy(extend(s, count, int(k)), chunk)
 		case *[]uint32:
 			dst := extend(s, count, int(k))
 			for j := range dst {

@@ -14,6 +14,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/graph/index"
 )
 
 // testArtifact builds a small consistent artifact: a 4-cycle with a CH
@@ -36,6 +38,7 @@ func testArtifact(index string) *Artifact {
 		EdgeTo:   []uint32{1, 2, 3, 0},
 		Weights:  []float64{1, 2.5, 3, 0},
 	}
+	art.Meta.FormatVersion = SealVersion(&art.Meta)
 	switch index {
 	case "ch":
 		art.CHUpOff = []int32{0, 2, 3, 4, 4}
@@ -49,6 +52,26 @@ func testArtifact(index string) *Artifact {
 		art.HLLabHub = []int32{1, 3, 2, 3, 3}
 		art.HLLabDist = []float64{0, 1, 0, 0, 0}
 	}
+	return art
+}
+
+// testSourcesArtifact is testArtifact("ch")'s topology and hierarchy
+// with the hub labels that hierarchy yields (unpruned), sealed as
+// sources at version 4.
+func testSourcesArtifact(t *testing.T) *Artifact {
+	t.Helper()
+	art := testArtifact("ch")
+	err := art.SetIndex(&index.FlatIndex{
+		Kind:  "hl",
+		UpOff: art.CHUpOff, UpTo: art.CHUpTo, UpWt: art.CHUpWt,
+		LabOff:  []int64{0, 4, 7, 9, 10},
+		LabHub:  []int32{0, 1, 2, 3, 1, 2, 3, 2, 3, 3},
+		LabDist: []float64{0, 1, 3.5, 0, 0, 2.5, 5.5, 0, 3, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Meta.FormatVersion = SealVersion(&art.Meta)
 	return art
 }
 
@@ -77,7 +100,7 @@ func TestRoundTrip(t *testing.T) {
 			if info.Signed || info.Verified {
 				t.Fatalf("unsigned artifact reported signed=%v verified=%v", info.Signed, info.Verified)
 			}
-			if info.Writer != "test-writer" || info.FormatVersion != FormatVersion {
+			if info.Writer != "test-writer" || info.FormatVersion != uint32(want.Meta.FormatVersion) {
 				t.Fatalf("info = %+v", info)
 			}
 			checkEqualArtifacts(t, want, got)
@@ -142,6 +165,10 @@ func checkEqualArtifacts(t *testing.T, want, got *Artifact) {
 	eqI64("HLLabOff", want.HLLabOff, got.HLLabOff)
 	eqI32("HLLabHub", want.HLLabHub, got.HLLabHub)
 	eqF64("HLLabDist", want.HLLabDist, got.HLLabDist)
+	eqU32("HLLabLen", want.HLLabLen, got.HLLabLen)
+	if !bytes.Equal(want.HLSrc, got.HLSrc) {
+		t.Fatalf("HLSrc = %x, want %x", got.HLSrc, want.HLSrc)
+	}
 }
 
 func TestSectionAlignment(t *testing.T) {
@@ -170,9 +197,11 @@ func TestDeterministicSeal(t *testing.T) {
 }
 
 // TestGoldenDigests pins the sealed bytes across builds, not just
-// within one: each test artifact, signed with a key derived from a
-// fixed seed, must hash to the digest recorded here. A change to any
-// of them is a format change and needs a new FormatVersion.
+// within one: each test artifact, sealed at the version SealVersion
+// picks and signed with a key derived from a fixed seed, must hash to
+// the digest recorded here. A change to any of them is a format change
+// and needs a new FormatVersion. The four version-3 digests predate
+// version 4, which added "hl-sources" and left them unchanged.
 func TestGoldenDigests(t *testing.T) {
 	seed := make([]byte, ed25519.SeedSize)
 	for i := range seed {
@@ -184,11 +213,19 @@ func TestGoldenDigests(t *testing.T) {
 		"ch":  "9675d25352a3036906db0107a519dbb87ac217e9972c49fccb54beffb7a90307",
 		"alt": "d9d0d0a7301482ed4055a0dc4ab3a746be9de876b59820994db46d0b1c18e11a",
 		"hl":  "5a06f7206a44ddbbc9c7b996de6707d9a33e73ec0243702d22f9228cbd9ea717",
+
+		"hl-sources": "410b556909ac2688159c25837a26aff450f16b6765005eb032e5508cea81829f",
 	}
-	for index, digest := range want {
-		sum := sha256.Sum256(seal(t, testArtifact(index), WriteOptions{SigningKey: key}))
+	for name, digest := range want {
+		var art *Artifact
+		if name == "hl-sources" {
+			art = testSourcesArtifact(t)
+		} else {
+			art = testArtifact(name)
+		}
+		sum := sha256.Sum256(seal(t, art, WriteOptions{SigningKey: key}))
 		if got := hex.EncodeToString(sum[:]); got != digest {
-			t.Errorf("index %q: sealed artifact hashes to %s, want %s", index, got, digest)
+			t.Errorf("artifact %q: sealed at version %d, hashes to %s, want %s", name, art.Meta.FormatVersion, got, digest)
 		}
 	}
 }
@@ -343,11 +380,12 @@ func rawContainer(t *testing.T, art *Artifact, extra ...section) []byte {
 }
 
 // kindSections are the sections of art's own index kind (those whose
-// names carry its prefix), built from art's arrays.
+// names carry its prefix) that art holds an array for, built from
+// those arrays.
 func kindSections(art *Artifact) []section {
 	var secs []section
 	for i := range sectionTable {
-		if s := &sectionTable[i]; art.Meta.Index != "" && strings.HasPrefix(s.name, art.Meta.Index+"_") {
+		if s := &sectionTable[i]; art.Meta.Index != "" && strings.HasPrefix(s.name, art.Meta.Index+"_") && arrayLen(s.array(art)) > 0 {
 			secs = append(secs, arraySection(s, art))
 		}
 	}
@@ -638,5 +676,109 @@ func TestKeyPEMRoundTrip(t *testing.T) {
 func TestWriterVersionNonEmpty(t *testing.T) {
 	if v := WriterVersion(); v == "" {
 		t.Fatal("WriterVersion returned an empty string")
+	}
+}
+
+// TestHubLabelSources: hub labels that carry their hierarchy seal as
+// sources at version 4 — the hierarchy, the label lengths and the
+// source stream, no arena — and Read rebuilds the arena bit for bit.
+// Sealing what Read returned reproduces the artifact's bytes.
+func TestHubLabelSources(t *testing.T) {
+	want := testSourcesArtifact(t)
+	data := seal(t, want, WriteOptions{})
+	got, info, err := Read(bytes.NewReader(data), ReadOptions{})
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, ","); info.FormatVersion != 4 || got != "meta,edge_from,edge_to,weights,ch_up_off,ch_up_to,ch_up_wt,hl_lab_len,hl_src" {
+		t.Fatalf("version-%d hl sources artifact has sections %s", info.FormatVersion, got)
+	}
+	if n := int64(len(want.HLSrc)); n != want.Meta.HLSourceBytes || n != 2*int64(len(want.HLLabHub)) {
+		t.Fatalf("%d source bytes, meta declares %d, for %d one-byte-pair entries", n, want.Meta.HLSourceBytes, len(want.HLLabHub))
+	}
+	checkEqualArtifacts(t, want, got)
+	if again := seal(t, got, WriteOptions{}); !bytes.Equal(again, data) {
+		t.Fatal("re-sealing the artifact Read returned changed its bytes")
+	}
+	if f := got.Index(); f != got.rebuilt {
+		t.Fatal("Index does not hand back the flat index Read rebuilt")
+	}
+	got.HLLabHub = append([]int32(nil), got.HLLabHub...)
+	if f := got.Index(); f == got.rebuilt || &f.LabHub[0] != &got.HLLabHub[0] {
+		t.Fatal("Index hands back the rebuilt flat index after its arrays were replaced")
+	}
+
+	// Version 3 cannot carry sources, and the meta's byte count is
+	// checked against the stream.
+	old := testSourcesArtifact(t)
+	old.Meta.FormatVersion = 3
+	if err := Write(io.Discard, old, WriteOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Write sealed hub-label sources at version 3: err = %v", err)
+	}
+	short := testSourcesArtifact(t)
+	short.Meta.HLSourceBytes--
+	if err := Write(io.Discard, short, WriteOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Write sealed a source stream longer than the meta declares: err = %v", err)
+	}
+}
+
+// TestHubLabelSourcesRejected: a source stream that does not rebuild
+// into valid labels fails Read with ErrInvalid, and only after the
+// signature check: a stream signed by another key is a bad signature
+// before it is anything else.
+func TestHubLabelSourcesRejected(t *testing.T) {
+	cases := map[string]func(a *Artifact){
+		"edge-out-of-range":     func(a *Artifact) { a.HLSrc[2] = 9 },              // vertex 2 names its edge 8 of 1
+		"position-out-of-range": func(a *Artifact) { a.HLSrc[len(a.HLSrc)-1] = 7 }, // vertex 0's last entry
+		"hubs-not-ascending":    func(a *Artifact) { a.HLLabLen[3], a.HLLabLen[2] = 2, 1 },
+		"self-with-position":    func(a *Artifact) { a.HLSrc[1] = 1 },
+		"non-minimal-uvarint":   func(a *Artifact) { a.HLSrc[0], a.HLSrc[1] = 0x80, 0x00 },
+		"too-few-bytes":         func(a *Artifact) { a.HLLabLen[0] = 200 },
+		"infinite-distance":     func(a *Artifact) { a.CHUpWt[2] = math.Inf(1) },
+	}
+	pub, priv, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherPub, _, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			art := testSourcesArtifact(t)
+			mutate(art)
+			data := seal(t, art, WriteOptions{SigningKey: priv})
+			got, _, err := Read(bytes.NewReader(data), ReadOptions{VerifyKey: pub})
+			if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "hub-label sources") || got != nil {
+				t.Fatalf("art=%v err=%v, want invalid hub-label sources", got != nil, err)
+			}
+			if _, _, err := Read(bytes.NewReader(data), ReadOptions{VerifyKey: otherPub}); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("signed by another key: err = %v, want ErrBadSignature", err)
+			}
+		})
+	}
+}
+
+// TestHubLabelSourcesLengthLying: label lengths that declare far more
+// entries than the source stream could hold fail before any label
+// array is allocated.
+func TestHubLabelSourcesLengthLying(t *testing.T) {
+	art := testSourcesArtifact(t)
+	art.HLLabLen[0] = 1 << 30
+	data := seal(t, art, WriteOptions{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _, err := Read(bytes.NewReader(data), ReadOptions{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInvalid) || got != nil {
+		t.Fatalf("art=%v err=%v, want ErrInvalid", got != nil, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("lying label lengths allocated %d bytes", n)
 	}
 }

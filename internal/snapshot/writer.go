@@ -33,10 +33,17 @@ const chunkBytes = 64 * 1024
 // artifact against the rules Read enforces — the meta document, each
 // section's presence and length, the edge invariants — so a malformed
 // artifact is an error wrapping ErrInvalid here, not a time bomb for
-// readers. It always emits version FormatVersion, which art.Meta must
-// declare; older versions are read only.
+// readers. It emits version SealVersion(&art.Meta), which art.Meta must
+// declare, so one release seals to one byte string; other versions are
+// read only. Hub labels sealed as sources are written as their
+// sources: the arena the artifact also holds is what they encode, and
+// stays out of the container.
 func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
-	if err := checkMeta(&art.Meta, FormatVersion); err != nil {
+	version := SealVersion(&art.Meta)
+	if art.Meta.FormatVersion != version {
+		return invalidf("meta declares format version %d; this artifact is sealed at version %d", art.Meta.FormatVersion, version)
+	}
+	if err := checkMeta(&art.Meta, uint32(version)); err != nil {
 		return err
 	}
 	meta, err := metaSection(art)
@@ -47,7 +54,7 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 	for i := 1; i < len(sectionTable); i++ {
 		s := &sectionTable[i]
 		if !s.carried(&art.Meta) {
-			if arrayLen(s.array(art)) != 0 {
+			if arrayLen(s.array(art)) != 0 && !(s.arena && carriesSources(&art.Meta)) {
 				return invalidf("%s array is not empty but meta declares index %q", s.name, art.Meta.Index)
 			}
 			continue
@@ -65,7 +72,7 @@ func Write(w io.Writer, art *Artifact, opts WriteOptions) error {
 	if err := checkEdges(art); err != nil {
 		return err
 	}
-	return writeContainer(w, FormatVersion, art.Meta.Writer, secs, opts.SigningKey)
+	return writeContainer(w, uint32(version), art.Meta.Writer, secs, opts.SigningKey)
 }
 
 // metaSection encodes art's meta document as the first section.
@@ -249,6 +256,8 @@ func encodeArray(w io.Writer, p any) error {
 	for i, n := 0, arrayLen(p); i < n; i += per {
 		k := min(per, n-i)
 		switch s := p.(type) {
+		case *[]byte:
+			copy(buf, (*s)[i:i+k])
 		case *[]uint32:
 			for j, v := range (*s)[i : i+k] {
 				binary.LittleEndian.PutUint32(buf[4*j:], v)

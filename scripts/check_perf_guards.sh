@@ -19,7 +19,10 @@
 #    indexed release (decode + index rehydration, zero budget) must
 #    reach its first answered query in <= 3x the time of one full
 #    Dijkstra over the same grid, which is 50x under re-materializing
-#    the release as contraction stood before it got ~2x faster.
+#    the release as contraction stood before it got ~2x faster. The
+#    same release indexed with hub labels, rebuilt from their sealed
+#    sources, must unseal in <= 8.85x one full Dijkstra, and its
+#    artifact must take <= 3.68 bytes per label entry.
 # 7. Hub labeling: on the same >= 100k-edge grid, a hub-label point
 #    query must beat the CH bidirectional search >= 5x, and both point
 #    queries (hub-label ones random and in a batch's depot shape) and
@@ -119,9 +122,11 @@ fi
 # rematerialize 3.59 s and 3.56 s against best full Dijkstra 20.7 ms and
 # 22.9 ms, i.e. 3.47x and 3.11x, rounded down to 3. Best of -count=3 for
 # the unseal, -count=2 for the yardstick.
-out=$(go test -bench '^BenchmarkSnapshotRestore$/^unseal$' -benchtime=10x -count=3 -run '^$' .)
+out=$(go test -bench '^BenchmarkSnapshotRestore$/^unseal(-hl)?$' -benchtime=10x -count=3 -run '^$' .)
 echo "$out"
 unseal=$(echo "$out" | awk '$1 ~ /^BenchmarkSnapshotRestore\/unseal(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
+unseal_hl=$(echo "$out" | awk '$1 ~ /^BenchmarkSnapshotRestore\/unseal-hl(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
+per_entry=$(echo "$out" | awk '$1 ~ /^BenchmarkSnapshotRestore\/unseal-hl(-[0-9]+)?$/ {for (i = 4; i < NF; i++) if ($(i+1) == "artifact-B/entry") v = $i} END {print v}')
 out=$(go test -bench '^BenchmarkFullDijkstra$' -benchtime=20x -count=2 -run '^$' ./internal/graph/index)
 echo "$out"
 dijkstra=$(echo "$out" | awk '$1 ~ /^BenchmarkFullDijkstra(-[0-9]+)?$/ {if (min == "" || $3 < min) min = $3} END {print min}')
@@ -136,6 +141,33 @@ else
         fail=1
     else
         echo "OK: snapshot restore <= 3x one full Dijkstra"
+    fi
+fi
+# The hub-label leg. Its release seals its labels as pointers into the
+# hierarchy (format version 4), and unseal rebuilds them. The time
+# bound is the best ratio at 2fc380c, the commit before, which sealed
+# the label arena itself, plus 25%: two calibration runs there read
+# best unseal-hl 49.34 ms and 48.81 ms against best full Dijkstra
+# 6.905 ms and 6.895 ms, i.e. 7.15x and 7.08x; 7.08 x 1.25 = 8.85. The
+# artifact took 12.70 bytes per label entry there and 3.503 with
+# sources; the size bound is 3.503 plus 5%, 3.68.
+if [ -z "$unseal_hl" ] || [ -z "$dijkstra" ] || [ -z "$per_entry" ]; then
+    echo "FAIL: could not parse the BenchmarkSnapshotRestore/unseal-hl output" >&2
+    fail=1
+else
+    ratio=$(awk -v u="$unseal_hl" -v d="$dijkstra" 'BEGIN {printf "%.2f", u / d}')
+    echo "hub-label snapshot restore time over one full Dijkstra: ${ratio}x; ${per_entry} artifact bytes per label entry"
+    if awk -v x="$ratio" 'BEGIN {exit !(x > 8.85)}'; then
+        echo "FAIL: hub-label snapshot restore takes ${ratio}x one full Dijkstra, want <= 8.85x" >&2
+        fail=1
+    else
+        echo "OK: hub-label snapshot restore <= 8.85x one full Dijkstra"
+    fi
+    if awk -v x="$per_entry" 'BEGIN {exit !(x > 3.68)}'; then
+        echo "FAIL: the hub-label artifact takes ${per_entry} bytes per label entry, want <= 3.68" >&2
+        fail=1
+    else
+        echo "OK: the hub-label artifact takes <= 3.68 bytes per label entry"
     fi
 fi
 

@@ -13,11 +13,12 @@
 # 2. staticcheck + govulncheck, pinned versions, when the binaries are
 #    on PATH. Offline dev boxes skip them with a notice; CI sets
 #    STATIC_STRICT=1 to turn a missing binary into a failure.
-# 3. Fuzz smoke: FuzzUnseal (sealed-artifact decoder) and
-#    FuzzParsePairs (the query-string, point-body and batch parsers
-#    checked against encoding/json, url.ParseQuery and strconv
-#    references) run their checked-in testdata corpora plus a short
-#    -fuzztime budget.
+# 3. Fuzz smoke: FuzzUnseal (sealed-artifact decoder), FuzzRebuildLabels
+#    (the hub-label source decoder on its own, over arbitrary
+#    hierarchies) and FuzzParsePairs (the query-string, point-body and
+#    batch parsers checked against encoding/json, url.ParseQuery and
+#    strconv references) run their checked-in testdata corpora plus a
+#    short -fuzztime budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,6 +55,9 @@ run_pinned govulncheck latest govulncheck ./...
 
 echo "== fuzz smoke: FuzzUnseal ($FUZZTIME) =="
 go test -run '^$' -fuzz '^FuzzUnseal$' -fuzztime "$FUZZTIME" ./dpgraph
+
+echo "== fuzz smoke: FuzzRebuildLabels ($FUZZTIME) =="
+go test -run '^$' -fuzz '^FuzzRebuildLabels$' -fuzztime "$FUZZTIME" ./internal/graph/index
 
 echo "== fuzz smoke: FuzzParsePairs ($FUZZTIME) =="
 go test -run '^$' -fuzz '^FuzzParsePairs$' -fuzztime "$FUZZTIME" ./internal/serve
