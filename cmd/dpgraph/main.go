@@ -302,28 +302,34 @@ func runQuery(out *os.File, in io.Reader, g *dpgraph.Graph, w []float64, spec dp
 	if err != nil {
 		return err
 	}
-	rec := res.Info().Receipt
+	return writeAnswers(out, jsonOut, pairs, values, queryJSONOutput{
+		Mechanism: mech,
+		Bound:     oracle.Bound(gamma),
+		Gamma:     gamma,
+		Receipt:   res.Info().Receipt,
+	}, fmt.Sprintf("%d queries answered from one %q release (zero extra budget)", len(pairs), mech))
+}
+
+// writeAnswers prints answered pairs for query and unseal -query: the
+// -json envelope (head plus one result per pair), or one "s t value"
+// line per pair followed by footer, the error bound and the receipt as
+// comment lines.
+func writeAnswers(out io.Writer, jsonOut bool, pairs []dpgraph.VertexPair, values []float64, head queryJSONOutput, footer string) error {
 	if jsonOut {
-		answers := make([]serve.PairAnswer, len(pairs))
+		head.Results = make([]serve.PairAnswer, len(pairs))
 		for i, p := range pairs {
-			answers[i] = serve.PairAnswer{S: p.S, T: p.T, Value: values[i]}
+			head.Results[i] = serve.PairAnswer{S: p.S, T: p.T, Value: values[i]}
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(queryJSONOutput{
-			Mechanism: mech,
-			Bound:     oracle.Bound(gamma),
-			Gamma:     gamma,
-			Receipt:   rec,
-			Results:   answers,
-		})
+		return enc.Encode(head)
 	}
 	for i, p := range pairs {
 		fmt.Fprintf(out, "%d %d %.4f\n", p.S, p.T, values[i])
 	}
-	fmt.Fprintf(out, "# %d queries answered from one %q release (zero extra budget)\n", len(pairs), mech)
-	fmt.Fprintf(out, "# error bound at gamma=%g: %.4f\n", gamma, oracle.Bound(gamma))
-	fmt.Fprintf(out, "# privacy receipt: %s\n", rec)
+	fmt.Fprintf(out, "# %s\n", footer)
+	fmt.Fprintf(out, "# error bound at gamma=%g: %.4f\n", head.Gamma, head.Bound)
+	fmt.Fprintf(out, "# privacy receipt: %s\n", head.Receipt)
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 
 	"repro/dpgraph"
-	"repro/internal/serve"
 	"repro/internal/snapshot"
 )
 
@@ -152,28 +151,12 @@ func runUnseal(out *os.File, in io.Reader, args []string) error {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			answers := make([]serve.PairAnswer, len(pairs))
-			for i, p := range pairs {
-				answers[i] = serve.PairAnswer{S: p.S, T: p.T, Value: values[i]}
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(queryJSONOutput{
-				Mechanism: sealed.Mechanism,
-				Bound:     oracle.Bound(*gamma),
-				Gamma:     *gamma,
-				Receipt:   sealed.Receipt,
-				Results:   answers,
-			})
-		}
-		for i, p := range pairs {
-			fmt.Fprintf(out, "%d %d %.4f\n", p.S, p.T, values[i])
-		}
-		fmt.Fprintf(out, "# %d queries answered from an unsealed %q release (zero budget)\n", len(pairs), sealed.Mechanism)
-		fmt.Fprintf(out, "# error bound at gamma=%g: %.4f\n", *gamma, oracle.Bound(*gamma))
-		fmt.Fprintf(out, "# privacy receipt: %s\n", sealed.Receipt)
-		return nil
+		return writeAnswers(out, *jsonOut, pairs, values, queryJSONOutput{
+			Mechanism: sealed.Mechanism,
+			Bound:     oracle.Bound(*gamma),
+			Gamma:     *gamma,
+			Receipt:   sealed.Receipt,
+		}, fmt.Sprintf("%d queries answered from an unsealed %q release (zero budget)", len(pairs), sealed.Mechanism))
 	}
 
 	if *jsonOut {

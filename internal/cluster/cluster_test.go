@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,21 +29,23 @@ const (
 	mode500  = "500"  // every request answers 500
 	modeHang = "hang" // every request blocks until its context dies
 	modeKill = "kill" // every connection is severed mid-request (process killed)
-	// modeStall blocks point queries until their context dies, counting
-	// each in stalled; probes still answer, so the breaker stays closed
+	// modeStall blocks point queries until their context dies, then
+	// signals stalls; probes still answer, so the breaker stays closed
 	// unless the coordinator blames the replica.
 	modeStall = "stall"
 )
 
 // testReplica is one in-process `serve` daemon behind a fault switch.
 type testReplica struct {
-	ts      *httptest.Server
-	mode    atomic.Value
-	stalled atomic.Int64 // stalled point queries whose context died
-	hung    atomic.Int64 // requests that reached modeHang
+	ts   *httptest.Server
+	mode atomic.Value
 	// hangs receives, without blocking the replica, once a request
 	// reaches modeHang.
 	hangs chan struct{}
+	// stalls receives, without blocking the replica, once per stalled
+	// point query whose context died; its buffer holds more than any
+	// test stalls, so no signal is dropped before the test reads it.
+	stalls chan struct{}
 }
 
 func (r *testReplica) set(mode string) { r.mode.Store(mode) }
@@ -71,14 +74,13 @@ func newTestFleet(t testing.TB, n int) []*testReplica {
 	for i := range fleet {
 		s := serve.New(g, w, serve.Config{AllowSeeded: true})
 		inner := s.Handler()
-		rep := &testReplica{hangs: make(chan struct{}, 1)}
+		rep := &testReplica{hangs: make(chan struct{}, 1), stalls: make(chan struct{}, 64)}
 		rep.mode.Store(modeOK)
 		rep.ts = httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
 			switch rep.mode.Load() {
 			case mode500:
 				http.Error(wr, "injected failure", http.StatusInternalServerError)
 			case modeHang:
-				rep.hung.Add(1)
 				select {
 				case rep.hangs <- struct{}{}:
 				default:
@@ -89,7 +91,10 @@ func newTestFleet(t testing.TB, n int) []*testReplica {
 			case modeStall:
 				if strings.HasSuffix(r.URL.Path, "/distance") {
 					<-r.Context().Done()
-					rep.stalled.Add(1)
+					select {
+					case rep.stalls <- struct{}{}:
+					default:
+					}
 					return
 				}
 				inner.ServeHTTP(wr, r)
@@ -362,6 +367,96 @@ func TestClusterRegistration(t *testing.T) {
 		t.Errorf("pool = %+v", pool)
 	}
 	_ = c
+}
+
+// TestClusterRegisterWhileRouting: a replica that registers, twice,
+// while point queries route through the coordinator joins the pool
+// once, disturbs no answer, and takes traffic once its probe is in.
+func TestClusterRegisterWhileRouting(t *testing.T) {
+	fleet := newTestFleet(t, 3)
+	_, ts := newTestCoordinator(t, fleet[:2], Config{ProbeInterval: time.Hour})
+	oracle := fleetOracle(t)
+
+	// ask runs one point query off the test goroutine, reporting a
+	// wrong or missing answer with t.Error.
+	ask := func(i int) bool {
+		s, tt := i%16, (i/16)%16
+		resp, err := http.Get(fmt.Sprintf("%s/v1/releases/main/distance?s=%d&t=%d", ts.URL, s, tt))
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer resp.Body.Close()
+		var ans pointAnswer
+		err = json.NewDecoder(resp.Body).Decode(&ans)
+		if want, _ := oracle.Distance(s, tt); err != nil || resp.StatusCode != http.StatusOK || ans.Value == nil || *ans.Value != want {
+			t.Errorf("point (%d,%d): status %d, value %v (%v), oracle says %g", s, tt, resp.StatusCode, ans.Value, err, want)
+			return false
+		}
+		return true
+	}
+	const workers = 4
+	stop, started := make(chan struct{}), make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ok := ask(w)
+			started <- struct{}{}
+			for i := w + workers; ok; i += workers {
+				select {
+				case <-stop:
+					return
+				default:
+					ok = ask(i)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-started
+	}
+	joiner := fleet[2].url()
+	for n := 0; n < 2; n++ {
+		resp, err := http.Post(ts.URL+"/v1/replicas", "application/json", strings.NewReader(fmt.Sprintf(`{"url":%q}`, joiner)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("registration %d: status %d", n+1, resp.StatusCode)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// Every member is in the working set and requests rotate through
+	// it, so three queries in a row put the newcomer first once.
+	for i := 0; i < 3; i++ {
+		if status, _, _ := queryPoint(t, ts.URL, 0, 15); status != http.StatusOK {
+			t.Fatalf("query %d after registration: status %d", i, status)
+		}
+	}
+	var pool struct {
+		Replicas []replicaStatus `json:"replicas"`
+	}
+	getJSON(t, ts.URL+"/v1/replicas", &pool)
+	listed := map[string]int{}
+	for _, st := range pool.Replicas {
+		listed[st.URL]++
+		if st.URL == joiner && (st.State != "healthy" || st.Requests == 0) {
+			t.Errorf("the joined replica is %q with %d requests, want healthy and serving", st.State, st.Requests)
+		}
+	}
+	for _, rep := range fleet {
+		if listed[rep.url()] != 1 {
+			t.Errorf("GET /v1/replicas lists %s %d times, want once: %+v", rep.url(), listed[rep.url()], pool.Replicas)
+		}
+	}
+	if len(pool.Replicas) != len(fleet) {
+		t.Errorf("GET /v1/replicas lists %d replicas, want %d", len(pool.Replicas), len(fleet))
+	}
 }
 
 // TestClusterFailoverAndBreaker: with one replica answering 500s every
@@ -638,8 +733,8 @@ func TestClusterFallbackMatchesReplica(t *testing.T) {
 }
 
 // TestClusterHedging pins the hedging contract without timing luck.
-// ReplicationFactor 1 makes the ring's first replica for "main" the
-// primary of every query and the other the hedge target.
+// ReplicationFactor 1 makes the first replica in "main"'s rendezvous
+// order the primary of every query and the other the hedge target.
 func TestClusterHedging(t *testing.T) {
 	oracle := fleetOracle(t)
 	setup := func(t *testing.T, hedgeDelay time.Duration) (c *Coordinator, base string, primary, backup *testReplica) {
@@ -682,12 +777,18 @@ func TestClusterHedging(t *testing.T) {
 		}
 		// The winning hedge cancels the primary, which the replica sees
 		// as its request context dying.
-		deadline := time.Now().Add(5 * time.Second)
-		for primary.stalled.Load() < queries && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		timeout := time.After(5 * time.Second)
+		for n := 0; n < queries; n++ {
+			select {
+			case <-primary.stalls:
+			case <-timeout:
+				t.Fatalf("the stalled primary saw %d of %d requests cancelled", n, queries)
+			}
 		}
-		if n := primary.stalled.Load(); n != queries {
-			t.Errorf("the stalled primary saw %d of %d requests cancelled", n, queries)
+		select {
+		case <-primary.stalls:
+			t.Errorf("the stalled primary saw more than %d requests cancelled", queries)
+		default:
 		}
 		for _, rep := range c.snapshotReplicas() {
 			if st := rep.status(); st.State != "healthy" || st.Failures != 0 {
@@ -721,8 +822,8 @@ func TestClusterHedging(t *testing.T) {
 // is the serving replica's artifact byte for byte, revalidates against
 // its ETag, skips a failing replica before the first byte, and does not
 // blame a replica for a client that walks away before the answer.
-// ReplicationFactor 1 makes the ring's first replica for "main" the
-// first candidate of every download.
+// ReplicationFactor 1 makes the first replica in "main"'s rendezvous
+// order the first candidate of every download.
 func TestClusterSnapshotProxy(t *testing.T) {
 	const path = "/v1/releases/main/snapshot"
 	setup := func(t *testing.T) (c *Coordinator, base string, primary, backup *testReplica) {
@@ -806,8 +907,9 @@ func TestClusterSnapshotProxy(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() {
-			for primary.hung.Load() == 0 && ctx.Err() == nil {
-				time.Sleep(time.Millisecond)
+			select {
+			case <-primary.hangs:
+			case <-ctx.Done():
 			}
 			cancel()
 		}()

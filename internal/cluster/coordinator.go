@@ -6,11 +6,11 @@
 //
 // The routing discipline, in order:
 //
-//   - Consistent hashing on the release name yields a per-release
-//     replica preference order (a configurable replication-factor
-//     prefix of it is the release's working set; requests rotate
-//     round-robin inside the set and spill past it only when every
-//     member is out).
+//   - Rendezvous hashing on the release name orders the replica list
+//     into a per-release preference order (a configurable
+//     replication-factor prefix of it is the release's working set;
+//     requests rotate round-robin inside the set and spill past it
+//     only when every member is out).
 //   - Active health probes hit every replica's /readyz each probe
 //     interval, learning its ready-release set from the same response;
 //     probe failures and live-request failures both feed a per-replica
@@ -48,17 +48,18 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,9 +161,11 @@ const retryBudgetBurst = 64.0
 type Coordinator struct {
 	cfg Config // defaults filled in, Transport included
 
-	mu       sync.RWMutex
-	replicas map[string]*replica
-	ring     *ring
+	// members is the replica pool sorted by URL. A published slice is
+	// never modified: addReplica copies it under addMu and publishes the
+	// copy, so routing reads the pool with one atomic load.
+	members atomic.Pointer[[]*replica]
+	addMu   sync.Mutex
 
 	// fallback is the restore-only local replica over SnapshotDir
 	// (empty when unset); fallbackHandler is its routing table and
@@ -238,11 +241,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		replicas:  make(map[string]*replica),
 		started:   time.Now(),
 		stopc:     make(chan struct{}),
 		jitterRNG: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	c.members.Store(new([]*replica))
 	c.retryTokens.Store(int64(retryBudgetBurst * 1000))
 	for _, raw := range cfg.Replicas {
 		if _, err := c.addReplica(raw); err != nil {
@@ -284,26 +287,26 @@ func normalizeReplicaURL(raw string) (string, error) {
 	return u.Scheme + "://" + u.Host, nil
 }
 
-// addReplica registers a replica URL, rebuilding the hash ring. It is
-// idempotent: re-registering an existing URL returns the live entry
-// (keeping its health history) rather than resetting it.
+// addReplica registers a replica URL by publishing a new member list.
+// It is idempotent: re-registering an existing URL returns the live
+// entry (keeping its health history) rather than resetting it.
 func (c *Coordinator) addReplica(raw string) (*replica, error) {
 	urlStr, err := normalizeReplicaURL(raw)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rep, ok := c.replicas[urlStr]; ok {
-		return rep, nil
+	c.addMu.Lock()
+	defer c.addMu.Unlock()
+	reps := c.snapshotReplicas()
+	i, found := slices.BinarySearchFunc(reps, urlStr, func(rep *replica, u string) int {
+		return strings.Compare(rep.url, u)
+	})
+	if found {
+		return reps[i], nil
 	}
-	rep := &replica{url: urlStr}
-	c.replicas[urlStr] = rep
-	urls := make([]string, 0, len(c.replicas))
-	for u := range c.replicas {
-		urls = append(urls, u)
-	}
-	c.ring = buildRing(urls)
+	rep := &replica{url: urlStr, seed: hash64(urlStr)}
+	next := slices.Concat(reps[:i], []*replica{rep}, reps[i:])
+	c.members.Store(&next)
 	return rep, nil
 }
 
@@ -341,17 +344,9 @@ func (c *Coordinator) Stop() {
 // requests already in flight finish normally.
 func (c *Coordinator) StartDrain() { c.draining.Store(true) }
 
-// snapshotReplicas returns the current pool under the read lock.
-func (c *Coordinator) snapshotReplicas() []*replica {
-	c.mu.RLock()
-	out := make([]*replica, 0, len(c.replicas))
-	for _, rep := range c.replicas {
-		out = append(out, rep)
-	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].url < out[j].url })
-	return out
-}
+// snapshotReplicas returns the current pool, sorted by URL. The slice
+// is shared: callers must not modify it.
+func (c *Coordinator) snapshotReplicas() []*replica { return *c.members.Load() }
 
 // probeAll probes every replica concurrently and returns when all
 // probes resolve (each bounded by ProbeTimeout).
@@ -457,28 +452,18 @@ func (c *Coordinator) noteStatus(rep *replica, resp *http.Response) {
 // evicted replica willing to run a half-open trial. Replicas whose
 // probed release set excludes the release sort last among their tier.
 func (c *Coordinator) candidates(release string) []*replica {
-	c.mu.RLock()
-	ring := c.ring
-	c.mu.RUnlock()
-	if ring == nil {
-		return nil
-	}
-	order := ring.sequence(release)
+	order := rendezvous(c.snapshotReplicas(), release)
 	k := c.cfg.ReplicationFactor
 	if k <= 0 || k > len(order) {
 		k = len(order)
 	}
 	var set, spill, nonHolders []*replica
-	for i, urlStr := range order {
-		c.mu.RLock()
-		rep := c.replicas[urlStr]
-		c.mu.RUnlock()
-		if rep == nil || !rep.healthy() {
-			continue
-		}
-		holds, known := rep.holds(release)
+	for i, r := range order {
+		rep := r.rep
+		healthy, holds := rep.routable(release)
 		switch {
-		case known && !holds:
+		case !healthy:
+		case !holds:
 			nonHolders = append(nonHolders, rep)
 		case i < k:
 			set = append(set, rep)
@@ -500,15 +485,50 @@ func (c *Coordinator) candidates(release string) []*replica {
 	// Nothing healthy: offer one half-open trial on an evicted replica
 	// whose cooldown (one probe interval) has passed, so traffic itself
 	// can re-admit the pool even if the prober is slow.
-	for _, urlStr := range order {
-		c.mu.RLock()
-		rep := c.replicas[urlStr]
-		c.mu.RUnlock()
-		if rep != nil && rep.tryTrial(c.cfg.ProbeInterval) {
-			return []*replica{rep}
+	for _, r := range order {
+		if r.rep.tryTrial(c.cfg.ProbeInterval) {
+			return []*replica{r.rep}
 		}
 	}
 	return nil
+}
+
+// ranked is a replica with its rendezvous score for one key.
+type ranked struct {
+	score uint64
+	rep   *replica
+}
+
+// rendezvous orders reps for key by rendezvous (highest-random-weight)
+// hashing: each replica scores mix64(hash64(key) ^ seed) and the order
+// is by descending score. The first entry is the key's primary owner,
+// the rest its failover preference; a replica joining the pool takes
+// over only the keys it outscores every member on, and the relative
+// order of the others never changes.
+func rendezvous(reps []*replica, key string) []ranked {
+	h := hash64(key)
+	order := make([]ranked, len(reps))
+	for i, rep := range reps {
+		order[i] = ranked{mix64(h ^ rep.seed), rep}
+	}
+	slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(b.score, a.score) })
+	return order
+}
+
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s)) //nolint:errcheck // fnv never fails
+	return h.Sum64()
+}
+
+// mix64 is the splitmix64 finalizer, a 64-bit bijection in which each
+// input bit flips each output bit with probability about one half: the
+// XOR of a key hash and a seed shares structure across keys, and the
+// mix leaves none of it in the scores.
+func mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // requestDeadline resolves the end-to-end deadline for one client

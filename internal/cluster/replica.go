@@ -36,12 +36,14 @@ func (s replicaState) String() string {
 	}
 }
 
-// replica is one pool member: its base URL, breaker state, the release
-// set learned from its last successful /readyz probe, and traffic
-// counters. All mutable state sits behind mu; counters that feed
-// /metrics are atomics so readers never contend with the hot path.
+// replica is one pool member: its base URL and rendezvous seed, breaker
+// state, the release set learned from its last successful /readyz
+// probe, and traffic counters. All mutable state sits behind mu;
+// counters that feed /metrics are atomics so readers never contend
+// with the hot path.
 type replica struct {
-	url string
+	url  string
+	seed uint64 // hash64(url), this replica's rendezvous salt
 
 	mu sync.Mutex
 	// state is the breaker position; see replicaState.
@@ -70,15 +72,13 @@ func (rep *replica) healthy() bool {
 	return rep.state == stateHealthy
 }
 
-// holds reports whether the replica's last probe listed the release:
-// yes, no, or unknown (never probed successfully yet).
-func (rep *replica) holds(release string) (ok, known bool) {
+// routable reports, under one lock, whether the breaker is closed and
+// whether the replica may hold the release: its last probe listed it,
+// or no probe has succeeded yet.
+func (rep *replica) routable(release string) (healthy, holds bool) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.releases == nil {
-		return true, false
-	}
-	return rep.releases[release], true
+	return rep.state == stateHealthy, rep.releases == nil || rep.releases[release]
 }
 
 // markSuccess records a successful live request or probe, closing the

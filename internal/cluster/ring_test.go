@@ -5,39 +5,52 @@ import (
 	"testing"
 )
 
+// testMembers builds unprobed replicas as addReplica would.
+func testMembers(urls ...string) []*replica {
+	reps := make([]*replica, len(urls))
+	for i, u := range urls {
+		reps[i] = &replica{url: u, seed: hash64(u)}
+	}
+	return reps
+}
+
+// primary is the key's first replica in rendezvous order.
+func primary(reps []*replica, key string) string { return rendezvous(reps, key)[0].rep.url }
+
 // TestRingSequence: every member appears exactly once, the order is
-// deterministic, and different keys spread their primaries around.
+// deterministic, and different keys spread their primaries evenly.
 func TestRingSequence(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := buildRing(urls)
+	reps := testMembers("http://a:1", "http://b:1", "http://c:1", "http://d:1")
 
-	seq := r.sequence("main")
-	if len(seq) != len(urls) {
-		t.Fatalf("sequence has %d members, want %d: %v", len(seq), len(urls), seq)
+	seq := rendezvous(reps, "main")
+	if len(seq) != len(reps) {
+		t.Fatalf("sequence has %d members, want %d", len(seq), len(reps))
 	}
-	seen := map[string]bool{}
-	for _, u := range seq {
-		if seen[u] {
-			t.Fatalf("sequence repeats %s: %v", u, seq)
+	seen := map[*replica]bool{}
+	for _, r := range seq {
+		if seen[r.rep] {
+			t.Fatalf("sequence repeats %s", r.rep.url)
 		}
-		seen[u] = true
+		seen[r.rep] = true
 	}
-	for i, u := range r.sequence("main") {
-		if seq[i] != u {
-			t.Fatalf("sequence not deterministic: %v vs %v", seq, r.sequence("main"))
+	for i, r := range rendezvous(reps, "main") {
+		if seq[i] != r {
+			t.Fatalf("sequence not deterministic: %s vs %s at %d", seq[i].rep.url, r.rep.url, i)
 		}
 	}
 
-	// Primary ownership should spread over the members: with 64 vnodes
-	// each, no replica should own a wildly lopsided share of keys.
+	// Each key ranks the members independently, so primary ownership is
+	// binomial: 4000 keys over 4 members give 1000 ± 27 each, and ±25%
+	// is ~9 standard deviations.
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
-		counts[r.sequence(fmt.Sprintf("release-%d", i))[0]]++
+		counts[primary(reps, fmt.Sprintf("release-%d", i))]++
 	}
-	for u, n := range counts {
-		if n < keys/len(urls)/4 || n > keys/len(urls)*4 {
-			t.Errorf("replica %s owns %d of %d keys (grossly unbalanced): %v", u, n, keys, counts)
+	fair := keys / len(reps)
+	for _, rep := range reps {
+		if n := counts[rep.url]; n < fair*3/4 || n > fair*5/4 {
+			t.Errorf("replica %s owns %d of %d keys, want %d ± 25%%: %v", rep.url, n, keys, fair, counts)
 		}
 	}
 }
@@ -45,15 +58,14 @@ func TestRingSequence(t *testing.T) {
 // TestRingConsistency: adding one replica must not reshuffle ownership
 // wholesale — only the share of keys the newcomer claims may move.
 func TestRingConsistency(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	before := buildRing(urls)
-	after := buildRing(append(urls, "http://d:1"))
+	before := testMembers("http://a:1", "http://b:1", "http://c:1")
+	after := append(testMembers("http://d:1"), before...)
 
 	const keys = 2000
 	moved := 0
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("release-%d", i)
-		b, a := before.sequence(k)[0], after.sequence(k)[0]
+		b, a := primary(before, k), primary(after, k)
 		if b != a {
 			if a != "http://d:1" {
 				t.Fatalf("key %s moved %s -> %s, not to the new replica", k, b, a)
@@ -64,16 +76,16 @@ func TestRingConsistency(t *testing.T) {
 	// The newcomer should claim roughly 1/4 of the keyspace; far more
 	// means the hash is not consistent.
 	if moved > keys/2 {
-		t.Errorf("%d of %d keys moved on one join; consistent hashing should move ~%d", moved, keys, keys/4)
+		t.Errorf("%d of %d keys moved on one join; rendezvous hashing should move ~%d", moved, keys, keys/4)
 	}
 	if moved == 0 {
 		t.Error("no keys moved to the new replica at all")
 	}
 }
 
-// TestRingEmpty: an empty ring routes nowhere without panicking.
+// TestRingEmpty: an empty pool routes nowhere without panicking.
 func TestRingEmpty(t *testing.T) {
-	if seq := buildRing(nil).sequence("main"); seq != nil {
-		t.Errorf("empty ring sequence = %v, want nil", seq)
+	if seq := rendezvous(nil, "main"); len(seq) != 0 {
+		t.Errorf("empty pool sequence has %d members, want none", len(seq))
 	}
 }
