@@ -1,24 +1,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/snapshot"
 )
-
-// routeListening is a test seam: when non-nil it receives the bound
-// listen address once the coordinator is accepting connections.
-var routeListening chan<- string
 
 // runRoute starts the fleet coordinator: a daemon that proxies the
 // query API across a pool of `dpgraph serve` replicas with health
@@ -112,48 +104,13 @@ func runRoute(out *os.File, args []string) error {
 	if err != nil {
 		return err
 	}
+	coord.Start()
+	defer coord.Stop()
 	hs := &http.Server{
 		Handler:           coord.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	lis, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	coord.Start()
-	defer coord.Stop()
-	fmt.Fprintf(out, "dpgraph: routing %d replica(s) on http://%s\n", len(cfg.Replicas), lis.Addr())
-	if routeListening != nil {
-		routeListening <- lis.Addr().String()
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Fprintln(out, "dpgraph: signal received, draining")
-	coord.StartDrain()
-	select {
-	case <-time.After(*drainGrace):
-	case err := <-errc:
-		return err
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		hs.Close()
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	coord.Stop()
-	fmt.Fprintln(out, "dpgraph: shutdown complete")
-	return nil
+	banner := fmt.Sprintf("routing %d replica(s)", len(cfg.Replicas))
+	return runDaemon(out, hs, *addr, banner, routeListening, *drainGrace, coord.StartDrain)
 }

@@ -163,8 +163,9 @@ func TestRouteCLIEndToEnd(t *testing.T) {
 func TestServeCLIDrainGrace(t *testing.T) {
 	path := writeFile(t, "g.txt", pathGraph)
 	ready := make(chan string, 1)
-	serveListening = ready
-	defer func() { serveListening = nil }()
+	draining := make(chan struct{}, 1)
+	serveListening, daemonDraining = ready, draining
+	defer func() { serveListening, daemonDraining = nil, nil }()
 	addr, done := startDaemon(t, ready, []string{
 		"-graph", path, "serve", "-addr", "127.0.0.1:0", "-allow-seeded", "-drain-grace", "2s"})
 	base := "http://" + addr
@@ -182,16 +183,14 @@ func TestServeCLIDrainGrace(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	// The readiness flip precedes the listener close: poll until 503.
-	flipped := false
-	for i := 0; i < 100 && !flipped; i++ {
-		flipped = httpStatus(t, base+"/readyz") == http.StatusServiceUnavailable
-		if !flipped {
-			time.Sleep(10 * time.Millisecond)
-		}
+	// The readiness flip precedes the listener close.
+	select {
+	case <-draining:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the daemon never started draining after SIGINT")
 	}
-	if !flipped {
-		t.Fatal("/readyz never flipped to 503 after SIGINT")
+	if status := httpStatus(t, base+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Fatalf("readyz during drain: status %d, want 503", status)
 	}
 	// During the grace window: alive, but shedding retryably.
 	if status := httpStatus(t, base+"/livez"); status != http.StatusOK {

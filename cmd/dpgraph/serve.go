@@ -1,14 +1,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/dpgraph"
@@ -16,14 +12,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// serveListening is a test seam: when non-nil it receives the bound
-// listen address once the daemon is accepting connections (the tests
-// listen on port 0).
-var serveListening chan<- string
-
 // runServe starts the HTTP distance-serving daemon over the loaded
 // graph and stays up until SIGINT/SIGTERM, then drains in-flight
-// requests before returning (graceful shutdown).
+// requests before returning (graceful shutdown; see runDaemon).
 func runServe(out *os.File, g *dpgraph.Graph, w []float64, args []string) error {
 	fs := flag.NewFlagSet("dpgraph serve", flag.ContinueOnError)
 	var (
@@ -91,45 +82,6 @@ func runServe(out *os.File, g *dpgraph.Graph, w []float64, args []string) error 
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	// Register the signal handler before announcing readiness so an
-	// immediate SIGINT is never lost.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	lis, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "dpgraph: serving %d vertices / %d edges on http://%s\n", g.N(), g.M(), lis.Addr())
-	if serveListening != nil {
-		serveListening <- lis.Addr().String()
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop() // restore default signal handling: a second SIGINT kills hard
-	fmt.Fprintln(out, "dpgraph: signal received, draining in-flight requests")
-	// Drain sequence: flip /readyz (and start refusing new work with
-	// retryable 503s) first, hold the listener open for the grace period
-	// so probing load balancers observe the flip and stop sending, then
-	// close the listener.
-	srv.StartDrain()
-	select {
-	case <-time.After(*drainGrace):
-	case err := <-errc:
-		return err
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		hs.Close()
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	fmt.Fprintln(out, "dpgraph: shutdown complete")
-	return nil
+	banner := fmt.Sprintf("serving %d vertices / %d edges", g.N(), g.M())
+	return runDaemon(out, hs, *addr, banner, serveListening, *drainGrace, srv.StartDrain)
 }

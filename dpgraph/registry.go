@@ -85,35 +85,8 @@ var registry = []Descriptor{
 		Sensitivity: "Scale per distance query, composed over V(V-1)/2 queries",
 		Guarantee:   PureOrApprox,
 		Args:        []string{"s", "t"},
-		Run: func(pg *PrivateGraph, q Args) (Result, error) {
-			if err := checkPair(pg, q); err != nil {
-				return nil, err
-			}
-			var rel *APSDResult
-			var err error
-			if q.MaxWeight > 0 {
-				rel, err = pg.BoundedAllPairs(q.MaxWeight)
-			} else {
-				rel, err = pg.AllPairsDistances()
-			}
-			if err != nil {
-				return nil, err
-			}
-			return pairQuery(rel.ReleaseInfo, q, rel.Distance(q.S, q.T), rel.Bound), nil
-		},
-		Oracle: func(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
-			var rel *APSDResult
-			var err error
-			if q.MaxWeight > 0 {
-				rel, err = pg.BoundedAllPairs(q.MaxWeight)
-			} else {
-				rel, err = pg.AllPairsDistances()
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			return rel.Oracle(), rel, nil
-		},
+		Run:         pairFromOracle(apsdOracle),
+		Oracle:      apsdOracle,
 	},
 	{
 		Name:           "bounded",
@@ -124,23 +97,8 @@ var registry = []Descriptor{
 		Guarantee:      PureOrApprox,
 		Args:           []string{"s", "t"},
 		NeedsMaxWeight: true,
-		Run: func(pg *PrivateGraph, q Args) (Result, error) {
-			if err := checkPair(pg, q); err != nil {
-				return nil, err
-			}
-			rel, err := pg.BoundedAllPairs(q.MaxWeight)
-			if err != nil {
-				return nil, err
-			}
-			return pairQuery(rel.ReleaseInfo, q, rel.Distance(q.S, q.T), rel.Bound), nil
-		},
-		Oracle: func(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
-			rel, err := pg.BoundedAllPairs(q.MaxWeight)
-			if err != nil {
-				return nil, nil, err
-			}
-			return rel.Oracle(), rel, nil
-		},
+		Run:            pairFromOracle(boundedOracle),
+		Oracle:         boundedOracle,
 	},
 	{
 		Name:        "covering",
@@ -171,31 +129,8 @@ var registry = []Descriptor{
 		Guarantee:   Pure,
 		Args:        []string{"s", "t"},
 		NeedsPath:   true,
-		Run: func(pg *PrivateGraph, q Args) (Result, error) {
-			if err := checkPair(pg, q); err != nil {
-				return nil, err
-			}
-			base := q.Base
-			if base == 0 {
-				base = 2
-			}
-			rel, err := pg.PathHierarchy(base)
-			if err != nil {
-				return nil, err
-			}
-			return pairQuery(rel.ReleaseInfo, q, rel.Distance(q.S, q.T), rel.Bound), nil
-		},
-		Oracle: func(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
-			base := q.Base
-			if base == 0 {
-				base = 2
-			}
-			rel, err := pg.PathHierarchy(base)
-			if err != nil {
-				return nil, nil, err
-			}
-			return rel.Oracle(), rel, nil
-		},
+		Run:         pairFromOracle(hierarchyOracle),
+		Oracle:      hierarchyOracle,
 	},
 	{
 		Name:        "matching",
@@ -312,24 +247,8 @@ var registry = []Descriptor{
 		Guarantee:   Pure,
 		Args:        []string{"s", "t"},
 		NeedsTree:   true,
-		Run: func(pg *PrivateGraph, q Args) (Result, error) {
-			if err := checkPair(pg, q); err != nil {
-				return nil, err
-			}
-			rel, err := pg.TreeAllPairs()
-			if err != nil {
-				return nil, err
-			}
-			info := rel.ReleaseInfo
-			return pairQuery(info, q, rel.Distance(q.S, q.T), rel.PerPairBound), nil
-		},
-		Oracle: func(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
-			rel, err := pg.TreeAllPairs()
-			if err != nil {
-				return nil, nil, err
-			}
-			return rel.Oracle(), rel, nil
-		},
+		Run:         pairFromOracle(treedistOracle),
+		Oracle:      treedistOracle,
 	},
 	{
 		Name:        "treesssp",
@@ -382,6 +301,69 @@ func Mechanism(name string) (Descriptor, bool) {
 		}
 	}
 	return Descriptor{}, false
+}
+
+// The Oracle runners of the pairwise mechanisms; each one's Run is
+// pairFromOracle of it.
+
+func apsdOracle(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
+	if q.MaxWeight > 0 {
+		return boundedOracle(pg, q)
+	}
+	rel, err := pg.AllPairsDistances()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel.Oracle(), rel, nil
+}
+
+func boundedOracle(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
+	rel, err := pg.BoundedAllPairs(q.MaxWeight)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel.Oracle(), rel, nil
+}
+
+func hierarchyOracle(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
+	base := q.Base
+	if base == 0 {
+		base = 2
+	}
+	rel, err := pg.PathHierarchy(base)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel.Oracle(), rel, nil
+}
+
+func treedistOracle(pg *PrivateGraph, q Args) (DistanceOracle, Result, error) {
+	rel, err := pg.TreeAllPairs()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel.Oracle(), rel, nil
+}
+
+// pairFromOracle derives a pairwise mechanism's Run from its Oracle
+// runner: it validates the pair before anything is spent, materializes
+// the release (the one budget-charging step) and answers the pair from
+// the oracle, with the oracle's per-pair bound.
+func pairFromOracle(oracle func(pg *PrivateGraph, q Args) (DistanceOracle, Result, error)) func(pg *PrivateGraph, q Args) (Result, error) {
+	return func(pg *PrivateGraph, q Args) (Result, error) {
+		if err := checkPair(pg, q); err != nil {
+			return nil, err
+		}
+		o, rel, err := oracle(pg, q)
+		if err != nil {
+			return nil, err
+		}
+		d, err := o.Distance(q.S, q.T)
+		if err != nil {
+			return nil, err
+		}
+		return pairQuery(rel.Info(), q, d, o.Bound), nil
+	}
 }
 
 // checkPair validates pairwise query endpoints up front so runners fail

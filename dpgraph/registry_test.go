@@ -216,6 +216,65 @@ func TestRegistryOracleRunnersExecute(t *testing.T) {
 	}
 }
 
+// TestRegistryRunMatchesOracle: a pairwise mechanism's Run answers
+// what its Oracle answers for the same pair on a session with the same
+// seed, under the same bound.
+func TestRegistryRunMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	grid := Grid(4)
+	gw := UniformRandomWeights(grid, 0.1, 1, rng)
+	tree := BalancedBinaryTree(15)
+	tw := UniformRandomWeights(tree, 0.1, 1, rng)
+	path := PathGraph(9)
+	pw := UniformRandomWeights(path, 0.1, 1, rng)
+	for _, name := range []string{"apsd", "bounded", "hierarchy", "treedist"} {
+		d, ok := Mechanism(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		g, w := grid, gw
+		switch {
+		case d.NeedsTree:
+			g, w = tree, tw
+		case d.NeedsPath:
+			g, w = path, pw
+		}
+		session := func() *PrivateGraph {
+			pg, err := New(g, PrivateWeights(w), WithEpsilon(1), WithDelta(1e-6), WithDeterministicSeed(13))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return pg
+		}
+		q := Args{S: 1, T: g.N() - 2}
+		if d.NeedsMaxWeight {
+			q.MaxWeight = 1
+		}
+		res, err := d.Run(session(), q)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		oracle, _, err := d.Oracle(session(), q)
+		if err != nil {
+			t.Fatalf("%s: Oracle: %v", name, err)
+		}
+		want, err := oracle.Distance(q.S, q.T)
+		if err != nil {
+			t.Fatalf("%s: oracle query: %v", name, err)
+		}
+		qr, ok := res.(*QueryResult)
+		if !ok {
+			t.Fatalf("%s: Run returned %T, want *QueryResult", name, res)
+		}
+		if qr.Value != want {
+			t.Errorf("%s: Run answers %v, Oracle %v", name, qr.Value, want)
+		}
+		if got, want := res.Bound(0.05), oracle.Bound(0.05); got != want {
+			t.Errorf("%s: Run bound %v, Oracle bound %v", name, got, want)
+		}
+	}
+}
+
 // TestRegistryRunnersRejectBadPairs ensures pair validation happens
 // before budget is spent.
 func TestRegistryRunnersRejectBadPairs(t *testing.T) {

@@ -45,7 +45,7 @@ var guardedFunctions = map[string][]string{
 		"appendJSONFloat", "appendPairAnswer", "parseQueryPair",
 		"isJSONSpace", "skipJSONSpace", "isTextSpace", "skipTextSpace",
 		"parseInt", "parseObject", "parseTuple", "parsePointBody",
-		"parsePairs", "parseArray", "parseTextLine", "readBodyLimit",
+		"parsePairs", "parseArray", "parseTextLine", "ReadBodyLimit",
 	},
 }
 

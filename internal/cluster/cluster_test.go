@@ -1038,6 +1038,93 @@ func TestClusterAnswerTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("small batch: status %d, want 200", resp.StatusCode)
 	}
+
+	// An oversized answer that declares no length (chunked) is refused
+	// the same way once the limit is crossed mid-read.
+	var sent atomic.Int64
+	chunked := fakeReplica(t, &sent, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte(" "), 400)) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		w.Write(bytes.Repeat([]byte(" "), 400)) //nolint:errcheck
+	})
+	c, ts = newTestCoordinator(t, nil, Config{Replicas: []string{chunked.URL}, MaxBodyBytes: 512, ProbeInterval: time.Hour})
+	resp, err = http.Get(ts.URL + "/v1/releases/main/distance?s=0&t=15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(data), "512 bytes") {
+		t.Fatalf("oversized chunked answer: status %d, body %.200s; want 502 naming the 512-byte limit", resp.StatusCode, data)
+	}
+	if n := sent.Load(); n != 1 {
+		t.Errorf("the replica answered %d request(s), want 1 (no retry)", n)
+	}
+	if st := c.snapshotReplicas()[0].status(); st.State != "healthy" || st.Failures != 0 {
+		t.Errorf("replica state %q with %d failures; an oversized answer must not feed the breaker", st.State, st.Failures)
+	}
+}
+
+// fakeReplica is a replica that is ready for "main" and answers every
+// other request with answer, counting them in seen.
+func fakeReplica(t *testing.T, seen *atomic.Int64, answer http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			io.WriteString(w, `{"status":"ready","releases":["main"]}`) //nolint:errcheck
+			return
+		}
+		seen.Add(1)
+		answer(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestClusterRequestTooLarge: a request body over MaxBodyBytes gets the
+// replica's 413 envelope from the coordinator itself, and no replica
+// sees the request.
+func TestClusterRequestTooLarge(t *testing.T) {
+	var seen atomic.Int64
+	rep := fakeReplica(t, &seen, func(w http.ResponseWriter, r *http.Request) {})
+	_, ts := newTestCoordinator(t, nil, Config{Replicas: []string{rep.URL}, MaxBodyBytes: 512, ProbeInterval: time.Hour})
+	for _, path := range []string{"/v1/releases/main/distance", "/v1/releases/main/distances"} {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(strings.Repeat("0 15\n", 200)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		const want = "{\n  \"error\": \"request body exceeds 512 bytes\"\n}\n"
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || string(data) != want {
+			t.Errorf("%s: status %d, body %q; want 413 with %q", path, resp.StatusCode, data, want)
+		}
+	}
+	if n := seen.Load(); n != 0 {
+		t.Errorf("the replica saw %d request(s), want 0", n)
+	}
+}
+
+// TestClusterCandidatesAllocs: ordering the pool for a release costs
+// one allocation, the returned slice, whatever the pool size.
+func TestClusterCandidatesAllocs(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		cfg := Config{ProbeInterval: time.Hour}
+		for i := 0; i < n; i++ {
+			cfg.Replicas = append(cfg.Replicas, fmt.Sprintf("http://replica-%d:1", i))
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.candidates("main")); got != n {
+			t.Fatalf("%d replicas: %d candidates", n, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.candidates("main") }); allocs != 1 {
+			t.Errorf("%d replicas: candidates makes %v allocations, want 1", n, allocs)
+		}
+	}
 }
 
 // TestClusterLifecycleRefused: release-mutating endpoints are not

@@ -451,34 +451,44 @@ func (c *Coordinator) noteStatus(rep *replica, resp *http.Response) {
 // replicas outside the set, then — only when nothing is healthy — one
 // evicted replica willing to run a half-open trial. Replicas whose
 // probed release set excludes the release sort last among their tier.
+// The rendezvous order stays on the stack for pools of up to
+// len(buf), so the returned slice is the call's one allocation.
 func (c *Coordinator) candidates(release string) []*replica {
-	order := rendezvous(c.snapshotReplicas(), release)
+	var buf [16]ranked
+	order := rendezvous(buf[:0], c.snapshotReplicas(), release)
 	k := c.cfg.ReplicationFactor
 	if k <= 0 || k > len(order) {
 		k = len(order)
 	}
-	var set, spill, nonHolders []*replica
-	for i, r := range order {
-		rep := r.rep
-		healthy, holds := rep.routable(release)
+	for i := range order {
+		healthy, holds := order[i].rep.routable(release)
 		switch {
 		case !healthy:
+			order[i].tier = tierOut
 		case !holds:
-			nonHolders = append(nonHolders, rep)
+			order[i].tier = tierNonHolder
 		case i < k:
-			set = append(set, rep)
+			order[i].tier = tierSet
 		default:
-			spill = append(spill, rep)
+			order[i].tier = tierSpill
 		}
 	}
-	// Rotate inside the working set so a single hot release spreads
-	// over its whole replica set instead of hammering the primary.
-	if len(set) > 1 {
-		off := int(c.rr.Add(1)) % len(set)
-		set = append(set[off:], set[:off]...)
+	cands := make([]*replica, 0, len(order))
+	for tier := tierSet; tier < tierOut; tier++ {
+		for _, r := range order {
+			if r.tier == tier {
+				cands = append(cands, r.rep)
+			}
+		}
+		// Rotate inside the working set so a single hot release spreads
+		// over its whole replica set instead of hammering the primary.
+		if tier == tierSet && len(cands) > 1 {
+			off := int(c.rr.Add(1)) % len(cands)
+			slices.Reverse(cands[:off])
+			slices.Reverse(cands[off:])
+			slices.Reverse(cands)
+		}
 	}
-	cands := append(set, spill...)
-	cands = append(cands, nonHolders...)
 	if len(cands) > 0 {
 		return cands
 	}
@@ -487,32 +497,41 @@ func (c *Coordinator) candidates(release string) []*replica {
 	// can re-admit the pool even if the prober is slow.
 	for _, r := range order {
 		if r.rep.tryTrial(c.cfg.ProbeInterval) {
-			return []*replica{r.rep}
+			return append(cands, r.rep)
 		}
 	}
 	return nil
 }
 
-// ranked is a replica with its rendezvous score for one key.
+// Routing tiers of a replica for one release, in preference order.
+const (
+	tierSet       = iota // healthy, holds the release, in the working set
+	tierSpill            // healthy, holds the release, outside the set
+	tierNonHolder        // healthy, but its last probe did not list the release
+	tierOut              // breaker open: routed to only as a half-open trial
+)
+
+// ranked is a replica with its rendezvous score for one key, and its
+// routing tier once candidates has judged it.
 type ranked struct {
 	score uint64
 	rep   *replica
+	tier  int
 }
 
-// rendezvous orders reps for key by rendezvous (highest-random-weight)
-// hashing: each replica scores mix64(hash64(key) ^ seed) and the order
-// is by descending score. The first entry is the key's primary owner,
-// the rest its failover preference; a replica joining the pool takes
-// over only the keys it outscores every member on, and the relative
-// order of the others never changes.
-func rendezvous(reps []*replica, key string) []ranked {
+// rendezvous appends reps to dst in rendezvous (highest-random-weight)
+// order for key: each replica scores mix64(hash64(key) ^ seed) and the
+// order is by descending score. The first entry is the key's primary
+// owner, the rest its failover preference; a replica joining the pool
+// takes over only the keys it outscores every member on, and the
+// relative order of the others never changes.
+func rendezvous(dst []ranked, reps []*replica, key string) []ranked {
 	h := hash64(key)
-	order := make([]ranked, len(reps))
-	for i, rep := range reps {
-		order[i] = ranked{mix64(h ^ rep.seed), rep}
+	for _, rep := range reps {
+		dst = append(dst, ranked{score: mix64(h ^ rep.seed), rep: rep})
 	}
-	slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(b.score, a.score) })
-	return order
+	slices.SortFunc(dst, func(a, b ranked) int { return cmp.Compare(b.score, a.score) })
+	return dst
 }
 
 func hash64(s string) uint64 {
@@ -705,23 +724,23 @@ func (c *Coordinator) sendOnce(ctx context.Context, rep *replica, method, pathq 
 	defer resp.Body.Close()
 	// The replica is healthy and any other replica would give the same
 	// answer: an oversized one gets no breaker entry and no retry (see
-	// execute). A declared length is refused before its body is read.
-	var respBody []byte
-	switch {
-	case resp.ContentLength > c.cfg.MaxBodyBytes:
+	// execute). A declared length is refused before its body is read,
+	// and sizes the buffer so the answer costs one allocation.
+	if resp.ContentLength > c.cfg.MaxBodyBytes {
 		return proxyResult{}, c.answerTooLarge()
-	case resp.ContentLength >= 0:
-		respBody = make([]byte, resp.ContentLength)
-		_, err = io.ReadFull(resp.Body, respBody)
-	default:
-		respBody, err = io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
 	}
+	var respBody []byte
+	if resp.ContentLength >= 0 {
+		respBody = make([]byte, 0, resp.ContentLength+1)
+	}
+	respBody, err = serve.ReadBodyLimit(respBody, resp.Body, c.cfg.MaxBodyBytes)
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return proxyResult{}, c.answerTooLarge()
+		}
 		c.noteRequestFailure(rep, err)
 		return proxyResult{}, err
-	}
-	if int64(len(respBody)) > c.cfg.MaxBodyBytes {
-		return proxyResult{}, c.answerTooLarge()
 	}
 	c.noteStatus(rep, resp)
 	return proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody, rep: rep}, nil
@@ -765,11 +784,6 @@ func (c *Coordinator) execute(ctx context.Context, release, method, pathq string
 			case <-time.After(c.backoffDelay(attempt)):
 			case <-ctx.Done():
 				return proxyResult{}, ctx.Err()
-			}
-			// Rotate past the replica that just failed.
-			cands = c.candidates(release)
-			if len(cands) == 0 {
-				return proxyResult{}, lastErr
 			}
 		}
 		var res proxyResult

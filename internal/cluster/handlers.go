@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Handler returns the coordinator's HTTP routing table. Query traffic
@@ -40,29 +42,13 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/releases/{name}/distances", buffered)
 	mux.HandleFunc("POST /v1/releases/{name}/distances:stream", c.handleStreamProxy)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
+		serve.WriteError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 	})
 	return mux
 }
 
-type errorEnvelope struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
-}
-
 func (c *Coordinator) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "alive"})
 }
@@ -95,7 +81,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if status != http.StatusOK {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, resp)
+	serve.WriteJSON(w, status, resp)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -133,7 +119,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, rep := range c.snapshotReplicas() {
 		out.Replicas[rep.url] = rep.status()
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReplicaRegister adds a replica to the pool and probes it
@@ -145,17 +131,17 @@ func (c *Coordinator) handleReplicaRegister(w http.ResponseWriter, r *http.Reque
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad registration body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "bad registration body: %v", err)
 		return
 	}
 	rep, err := c.addReplica(req.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c.probeOne(rep)
 	c.logf("cluster: replica %s registered (%s)", rep.url, rep.status().State)
-	writeJSON(w, http.StatusCreated, rep.status())
+	serve.WriteJSON(w, http.StatusCreated, rep.status())
 }
 
 func (c *Coordinator) handleReplicaList(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +152,7 @@ func (c *Coordinator) handleReplicaList(w http.ResponseWriter, r *http.Request) 
 	for _, rep := range reps {
 		out.Replicas = append(out.Replicas, rep.status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleUnroutable refuses release-mutating endpoints: a coordinator
@@ -175,7 +161,7 @@ func (c *Coordinator) handleReplicaList(w http.ResponseWriter, r *http.Request) 
 // fresh noise), which breaks the any-replica-can-answer contract.
 // Releases reach a fleet as sealed snapshots instead.
 func (c *Coordinator) handleUnroutable(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
+	serve.WriteError(w, http.StatusNotImplemented,
 		"the coordinator does not proxy release lifecycle operations: materializing through the pool would give every replica different noise; distribute sealed snapshots to the replicas' -snapshot-dir (or POST :import to each) instead")
 }
 
@@ -203,9 +189,17 @@ func (c *Coordinator) handleBuffered(point bool) http.HandlerFunc {
 		c.metrics.requests.Add(1)
 		c.earnRetryCredit()
 		release := r.PathValue("name")
-		body, ok := c.bufferBody(w, r)
-		if !ok {
-			return
+		// The body is read whole, under the replica's limit and with its
+		// 413, so attempts can be retried and hedged; a GET has none. It
+		// is not pooled: a hedge can still be sending it after the
+		// request is answered.
+		var body []byte
+		if r.Method != http.MethodGet {
+			var err error
+			if body, err = serve.ReadBodyLimit(nil, r.Body, c.cfg.MaxBodyBytes); err != nil {
+				serve.WriteBodyError(w, err)
+				return
+			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), c.requestDeadline(r))
 		defer cancel()
@@ -310,25 +304,6 @@ func (c *Coordinator) handleStreamProxy(w http.ResponseWriter, r *http.Request) 
 	}
 }
 
-// bufferBody reads a request body fully (bounded) so attempts can be
-// retried and hedged; GET requests pass through with a nil body.
-func (c *Coordinator) bufferBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	if r.Body == nil || r.Method == http.MethodGet {
-		return nil, true
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-		}
-		return nil, false
-	}
-	return data, true
-}
-
 // requestPathQuery rebuilds the downstream path + raw query.
 func requestPathQuery(r *http.Request) string {
 	if r.URL.RawQuery != "" {
@@ -376,18 +351,18 @@ func clientGone(r *http.Request, err error) bool {
 func (c *Coordinator) writeRouteError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case clientGone(r, err):
-		writeError(w, http.StatusBadGateway, "the client cancelled the request: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "the client cancelled the request: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		c.metrics.deadlineExpired.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "request deadline expired while routing: %v", err)
+		serve.WriteError(w, http.StatusGatewayTimeout, "request deadline expired while routing: %v", err)
 	case errors.Is(err, errNoReplicas):
 		c.metrics.unavailable.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(c.cfg.ProbeInterval.Seconds()))+1))
-		writeError(w, http.StatusServiceUnavailable, "no healthy replica for this request; pool recovery is probe-driven, retry shortly")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no healthy replica for this request; pool recovery is probe-driven, retry shortly")
 	case errors.Is(err, errAnswerTooLarge):
-		writeError(w, http.StatusBadGateway, "%v", err)
+		serve.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
 		c.metrics.unavailable.Add(1)
-		writeError(w, http.StatusBadGateway, "all replica attempts failed: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "all replica attempts failed: %v", err)
 	}
 }

@@ -15,14 +15,14 @@ func testMembers(urls ...string) []*replica {
 }
 
 // primary is the key's first replica in rendezvous order.
-func primary(reps []*replica, key string) string { return rendezvous(reps, key)[0].rep.url }
+func primary(reps []*replica, key string) string { return rendezvous(nil, reps, key)[0].rep.url }
 
 // TestRingSequence: every member appears exactly once, the order is
 // deterministic, and different keys spread their primaries evenly.
 func TestRingSequence(t *testing.T) {
 	reps := testMembers("http://a:1", "http://b:1", "http://c:1", "http://d:1")
 
-	seq := rendezvous(reps, "main")
+	seq := rendezvous(nil, reps, "main")
 	if len(seq) != len(reps) {
 		t.Fatalf("sequence has %d members, want %d", len(seq), len(reps))
 	}
@@ -33,7 +33,7 @@ func TestRingSequence(t *testing.T) {
 		}
 		seen[r.rep] = true
 	}
-	for i, r := range rendezvous(reps, "main") {
+	for i, r := range rendezvous(nil, reps, "main") {
 		if seq[i] != r {
 			t.Fatalf("sequence not deterministic: %s vs %s at %d", seq[i].rep.url, r.rep.url, i)
 		}
@@ -85,7 +85,7 @@ func TestRingConsistency(t *testing.T) {
 
 // TestRingEmpty: an empty pool routes nowhere without panicking.
 func TestRingEmpty(t *testing.T) {
-	if seq := rendezvous(nil, "main"); len(seq) != 0 {
+	if seq := rendezvous(nil, nil, "main"); len(seq) != 0 {
 		t.Errorf("empty pool sequence has %d members, want none", len(seq))
 	}
 }

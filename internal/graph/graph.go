@@ -345,48 +345,6 @@ func (g *Graph) IsSimple() bool {
 	return true
 }
 
-// Simplify returns a simple graph in which each set of parallel edges is
-// replaced by one edge whose weight is the minimum of the originals, and
-// self-loops are dropped. It returns the new graph, the new weight vector,
-// and a map from new edge ID to the original edge ID that realized the
-// minimum. Weights must have length g.M().
-func (g *Graph) Simplify(w []float64) (*Graph, []float64, []int) {
-	if len(w) != g.M() {
-		panic("graph: Simplify weight vector has wrong length")
-	}
-	type pair struct{ a, b int }
-	best := make(map[pair]int) // pair -> original edge ID with min weight
-	for _, e := range g.edges {
-		if e.From == e.To {
-			continue
-		}
-		a, b := e.From, e.To
-		if !g.directed && a > b {
-			a, b = b, a
-		}
-		p := pair{a, b}
-		if cur, ok := best[p]; !ok || w[e.ID] < w[cur] {
-			best[p] = e.ID
-		}
-	}
-	ids := make([]int, 0, len(best))
-	for _, id := range best {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s := New(g.n)
-	s.directed = g.directed
-	nw := make([]float64, 0, len(ids))
-	orig := make([]int, 0, len(ids))
-	for _, id := range ids {
-		e := g.edges[id]
-		s.AddEdge(e.From, e.To)
-		nw = append(nw, w[id])
-		orig = append(orig, id)
-	}
-	return s, nw, orig
-}
-
 // PathWeight returns the total weight of a path given as a sequence of
 // edge IDs.
 func PathWeight(w []float64, path []int) float64 {

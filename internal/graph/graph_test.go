@@ -203,39 +203,6 @@ func TestIsSimple(t *testing.T) {
 	}
 }
 
-func TestSimplify(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1) // weight 5
-	g.AddEdge(0, 1) // weight 2 <- winner
-	g.AddEdge(1, 2) // weight 1
-	g.AddEdge(2, 2) // self-loop, dropped
-	s, w, orig := g.Simplify([]float64{5, 2, 1, 9})
-	if s.M() != 2 {
-		t.Fatalf("simplified M = %d", s.M())
-	}
-	if !s.IsSimple() {
-		t.Error("Simplify output not simple")
-	}
-	// Edge between 0 and 1 must carry weight 2 from original edge 1.
-	for i := 0; i < s.M(); i++ {
-		e := s.Edge(i)
-		if (e.From == 0 && e.To == 1) || (e.From == 1 && e.To == 0) {
-			if w[i] != 2 || orig[i] != 1 {
-				t.Errorf("parallel pair kept weight %g from edge %d", w[i], orig[i])
-			}
-		}
-	}
-}
-
-func TestSimplifyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Path(3).Simplify([]float64{1})
-}
-
 func TestValidatePath(t *testing.T) {
 	g := Path(4) // edges 0:(0,1) 1:(1,2) 2:(2,3)
 	if err := g.ValidatePath(0, 3, []int{0, 1, 2}); err != nil {

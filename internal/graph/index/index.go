@@ -16,7 +16,9 @@
 //     point query scans one label against the other, scattered into a
 //     dense hub table — another order of magnitude under the CH search
 //     — at the cost of label storage and build time on top of the
-//     hierarchy, which is dropped once the labels exist.
+//     hierarchy. A built index keeps the hierarchy's upward edges
+//     beside the labels for Export, which seals each label entry as a
+//     pointer into them; queries never read them.
 //   - ALT: landmark-based A* (triangle-inequality lower bounds from a
 //     small set of farthest-point landmarks). Slower than CH but immune
 //     to contraction degeneracy on dense or highly non-hierarchical

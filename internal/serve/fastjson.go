@@ -485,21 +485,16 @@ func syntaxError(prefix string, data []byte, at int, want string) error {
 	return fmt.Errorf("%s: want %s at byte %d, got %q", prefix, want, at, got)
 }
 
-// bodyTooLargeError mirrors http.MaxBytesError for the manual body
-// reader; writeBodyError maps both onto 413.
-type bodyTooLargeError struct{ limit int64 }
-
-func (e *bodyTooLargeError) Error() string {
-	return fmt.Sprintf("request body exceeds %d bytes", e.limit)
-}
-
-// readBodyLimit reads r fully into dst (reusing its capacity), erroring
-// once more than limit bytes arrive. It replaces the
+// ReadBodyLimit reads r fully into dst (reusing its capacity) and
+// refuses a body over limit bytes with an *http.MaxBytesError, which
+// WriteBodyError maps onto 413. It replaces the
 // io.ReadAll(http.MaxBytesReader(...)) pair, which allocates a fresh
-// reader and result slice per request.
+// reader and result slice per request. It grows dst only as bytes
+// arrive: a caller that trusts a declared length may size dst to it,
+// plus one byte for the read that reports EOF.
 //
 //dpvet:hotpath
-func readBodyLimit(dst []byte, r io.Reader, limit int64) ([]byte, error) {
+func ReadBodyLimit(dst []byte, r io.Reader, limit int64) ([]byte, error) {
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
@@ -507,7 +502,7 @@ func readBodyLimit(dst []byte, r io.Reader, limit int64) ([]byte, error) {
 		n, err := r.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]
 		if int64(len(dst)) > limit {
-			return dst, &bodyTooLargeError{limit: limit} //dpvet:allow hotpath -- oversized-body rejection is a cold error path; well-formed requests never reach it
+			return dst, &http.MaxBytesError{Limit: limit} //dpvet:allow hotpath -- oversized-body rejection is a cold error path; well-formed requests never reach it
 		}
 		if err == io.EOF {
 			return dst, nil

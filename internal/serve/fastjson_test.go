@@ -301,15 +301,15 @@ func TestParsePointBodyFastParity(t *testing.T) {
 // TestReadBodyLimit covers the manual body reader: under, at, and over
 // the limit, and the 413 mapping of its error.
 func TestReadBodyLimit(t *testing.T) {
-	data, err := readBodyLimit(nil, strings.NewReader("hello"), 5)
+	data, err := ReadBodyLimit(nil, strings.NewReader("hello"), 5)
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("at-limit read = (%q, %v)", data, err)
 	}
-	if _, err = readBodyLimit(nil, strings.NewReader("hello!"), 5); err == nil {
+	if _, err = ReadBodyLimit(nil, strings.NewReader("hello!"), 5); err == nil {
 		t.Fatal("over-limit read accepted")
 	}
 	rec := httptest.NewRecorder()
-	writeBodyError(rec, err)
+	WriteBodyError(rec, err)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-limit error mapped to %d, want 413", rec.Code)
 	}

@@ -69,9 +69,6 @@ type Config struct {
 	// noise is reproducible by anyone who knows the seed and therefore
 	// offers NO privacy; leave this false outside tests and demos.
 	AllowSeeded bool
-	// MaxSnapshotBytes bounds uploaded snapshot artifacts on the
-	// :import endpoint; <= 0 takes DefaultMaxSnapshotBytes.
-	MaxSnapshotBytes int64
 	// SigningKey, when set, signs every snapshot the server exports so
 	// replicas can verify provenance.
 	SigningKey ed25519.PrivateKey
@@ -141,7 +138,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/releases/{name}/distances", s.handleDistances)
 	mux.HandleFunc("POST /v1/releases/{name}/distances:stream", s.handleStream)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
+		WriteError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -151,7 +148,7 @@ func (s *Server) Handler() http.Handler {
 				// can watch the drain progress.
 			default:
 				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, "server is draining; retry against another replica")
+				WriteError(w, http.StatusServiceUnavailable, "server is draining; retry against another replica")
 				return
 			}
 		}
@@ -164,11 +161,14 @@ type errorEnvelope struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: fmt.Sprintf(format, args...)})
+// WriteError answers status with the error envelope every dpgraph
+// daemon writes, replica and coordinator alike.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorEnvelope{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -246,38 +246,38 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req createRequest
 	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "bad release spec: trailing content after the JSON object")
+		WriteError(w, http.StatusBadRequest, "bad release spec: trailing content after the JSON object")
 		return
 	}
 	if !releaseName.MatchString(req.Name) {
-		writeError(w, http.StatusBadRequest, "bad release name %q: want 1-128 characters of [A-Za-z0-9._-]", req.Name)
+		WriteError(w, http.StatusBadRequest, "bad release name %q: want 1-128 characters of [A-Za-z0-9._-]", req.Name)
 		return
 	}
 	if req.Seed != 0 && !s.cfg.AllowSeeded {
 		// A client who knows the seed can regenerate the noise draws and
 		// subtract them from the answers, recovering the private weights.
-		writeError(w, http.StatusForbidden, "seeded (deterministic) noise offers no privacy and is refused; start the server with -allow-seeded for tests and demos")
+		WriteError(w, http.StatusForbidden, "seeded (deterministic) noise offers no privacy and is refused; start the server with -allow-seeded for tests and demos")
 		return
 	}
 	maxInflight := s.cfg.MaxInflight
 	if req.MaxInflight != nil {
 		if *req.MaxInflight < 0 {
-			writeError(w, http.StatusBadRequest, "max_inflight must be >= 0, got %d", *req.MaxInflight)
+			WriteError(w, http.StatusBadRequest, "max_inflight must be >= 0, got %d", *req.MaxInflight)
 			return
 		}
 		maxInflight = *req.MaxInflight
 	}
 	rel, err := s.reg.reserve(req.Name, req.ReleaseSpec, maxInflight, s.cfg.MaxReleases)
 	if errors.Is(err, errTooManyReleases) {
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	// Materialize outside the registry lock: the one budget-charging
@@ -289,11 +289,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		rel.err = err
 		close(rel.ready)
 		s.reg.remove(rel)
-		writeError(w, http.StatusBadRequest, "materializing %q: %v", rel.name, err)
+		WriteError(w, http.StatusBadRequest, "materializing %q: %v", rel.name, err)
 		return
 	}
 	s.publish(rel, oracle, result)
-	writeJSON(w, http.StatusCreated, s.summarize(rel))
+	WriteJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
 // publish makes a reserved release servable: it sets the oracle and
@@ -312,7 +312,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, rel := range rels {
 		out.Releases = append(out.Releases, s.summarize(rel))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleDelete unregisters a release, freeing its oracle and admission
@@ -322,7 +322,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rel, ok := s.reg.lookup(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown release %q", name)
+		WriteError(w, http.StatusNotFound, "unknown release %q", name)
 		return
 	}
 	select {
@@ -331,11 +331,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// The creator will still publish into this entry; make the
 		// client wait for that instead of racing it.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "release %q is still materializing", name)
+		WriteError(w, http.StatusConflict, "release %q is still materializing", name)
 		return
 	}
 	s.reg.remove(rel)
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Deleted string `json:"deleted"`
 	}{Deleted: name})
 }
@@ -352,17 +352,17 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*release, bool
 	name := r.PathValue("name")
 	rel, ok := s.reg.lookup(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown release %q", name)
+		WriteError(w, http.StatusNotFound, "unknown release %q", name)
 		return nil, false
 	}
 	select {
 	case <-rel.ready:
 	default:
-		writeError(w, http.StatusNotFound, "release %q is not ready yet (still materializing)", name)
+		WriteError(w, http.StatusNotFound, "release %q is not ready yet (still materializing)", name)
 		return nil, false
 	}
 	if rel.err != nil {
-		writeError(w, http.StatusNotFound, "release %q failed to materialize: %v", name, rel.err)
+		WriteError(w, http.StatusNotFound, "release %q failed to materialize: %v", name, rel.err)
 		return nil, false
 	}
 	return rel, true
@@ -376,7 +376,7 @@ func (s *Server) admitOrShed(w http.ResponseWriter, rel *release) bool {
 		return true
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, "release %q is at its admission cap (%d in flight)", rel.name, cap(rel.inflight))
+	WriteError(w, http.StatusTooManyRequests, "release %q is at its admission cap (%d in flight)", rel.name, cap(rel.inflight))
 	return false
 }
 
@@ -392,14 +392,14 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		p, err = parseQueryPair(r.URL.RawQuery)
 	} else {
-		ws.body, err = readBodyLimit(ws.body[:0], r.Body, s.cfg.MaxBodyBytes)
+		ws.body, err = ReadBodyLimit(ws.body[:0], r.Body, s.cfg.MaxBodyBytes)
 		if err == nil {
 			p, err = parsePointBody(ws.body)
 		}
 	}
 	if err != nil {
 		rel.metrics.errors.Add(1)
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	if !s.admitOrShed(w, rel) {
@@ -410,7 +410,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	d, err := rel.oracle.Distance(p.S, p.T)
 	if err != nil {
 		rel.metrics.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rel.metrics.observe(1, time.Since(start))
@@ -441,10 +441,10 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	// Read and parse before admission: a client trickling a large body
 	// holds no serving slot while doing so.
 	var err error
-	ws.body, err = readBodyLimit(ws.body[:0], r.Body, s.cfg.MaxBodyBytes)
+	ws.body, err = ReadBodyLimit(ws.body[:0], r.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		rel.metrics.errors.Add(1)
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	ws.pairs, err = parsePairs(ws.pairs[:0], ws.body)
@@ -454,7 +454,7 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		rel.metrics.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !s.admitOrShed(w, rel) {
@@ -468,7 +468,7 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	values := ws.vals[:len(pairs)]
 	if err = rel.oracle.DistancesInto(pairs, values); err != nil {
 		rel.metrics.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rel.metrics.observe(len(pairs), time.Since(start))
@@ -493,7 +493,7 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 // process can serve HTTP at all, draining or not. Orchestrators restart
 // on livez failures, so it must never flip during a graceful shutdown.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "alive"})
 }
@@ -540,7 +540,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if status != http.StatusOK {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // StartDrain begins a graceful shutdown: /readyz flips to 503 and new
@@ -591,21 +591,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Totals.CacheHits += snap.CacheHits
 		out.Totals.CacheMisses += snap.CacheMisses
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// writeBodyError maps a request decoding failure onto its status:
-// 413 for oversized bodies, 400 otherwise.
-func writeBodyError(w http.ResponseWriter, err error) {
+// WriteBodyError maps a request decoding failure onto its status:
+// 413 for a body over its limit (an *http.MaxBytesError, from
+// ReadBodyLimit or http.MaxBytesReader), 400 otherwise.
+func WriteBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
-	var overLimit *bodyTooLargeError
-	if errors.As(err, &overLimit) {
-		writeError(w, http.StatusRequestEntityTooLarge, "%v", overLimit)
-		return
-	}
-	writeError(w, http.StatusBadRequest, "%v", err)
+	WriteError(w, http.StatusBadRequest, "%v", err)
 }

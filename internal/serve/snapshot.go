@@ -25,10 +25,10 @@ import (
 // a full re-materialization (budget + contraction) into a
 // milliseconds-scale array load.
 
-// DefaultMaxSnapshotBytes bounds uploaded snapshot artifacts when
-// Config leaves MaxSnapshotBytes unset: a ~10M-edge indexed release
-// seals to well under this, and the bound keeps a hostile upload from
-// streaming unbounded bytes through the decoder.
+// DefaultMaxSnapshotBytes bounds uploaded snapshot artifacts on the
+// :import endpoint: a ~10M-edge indexed release seals to well under
+// this, and the bound keeps a hostile upload from streaming unbounded
+// bytes through the decoder.
 const DefaultMaxSnapshotBytes = 1 << 30
 
 // snapshotExt is the artifact filename extension RestoreDir scans for.
@@ -56,12 +56,12 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !dpgraph.Sealable(rel.oracle) {
-		writeError(w, http.StatusConflict, "release %q (mechanism %s) is not sealable: only synthetic-graph releases have a snapshot form", rel.name, rel.spec.Mechanism)
+		WriteError(w, http.StatusConflict, "release %q (mechanism %s) is not sealable: only synthetic-graph releases have a snapshot form", rel.name, rel.spec.Mechanism)
 		return
 	}
 	etag, err := etagOf(rel.result)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "computing snapshot etag: %v", err)
+		WriteError(w, http.StatusInternalServerError, "computing snapshot etag: %v", err)
 		return
 	}
 	w.Header().Set("ETag", etag)
@@ -88,7 +88,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	lw := &latchWriter{w: w}
 	if err := dpgraph.Seal(lw, rel.oracle, rel.result, opts...); err != nil && !lw.wrote {
 		w.Header().Del("Content-Disposition")
-		writeError(w, http.StatusInternalServerError, "sealing %q: %v", rel.name, err)
+		WriteError(w, http.StatusInternalServerError, "sealing %q: %v", rel.name, err)
 	}
 }
 
@@ -115,16 +115,12 @@ func (l *latchWriter) Write(p []byte) (int, error) {
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	name, ok := strings.CutSuffix(r.PathValue("name"), ":import")
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such endpoint %s (snapshot import is POST /v1/releases/{name}:import)", r.URL.Path)
+		WriteError(w, http.StatusNotFound, "no such endpoint %s (snapshot import is POST /v1/releases/{name}:import)", r.URL.Path)
 		return
 	}
 	if !releaseName.MatchString(name) {
-		writeError(w, http.StatusBadRequest, "bad release name %q: want 1-128 characters of [A-Za-z0-9._-]", name)
+		WriteError(w, http.StatusBadRequest, "bad release name %q: want 1-128 characters of [A-Za-z0-9._-]", name)
 		return
-	}
-	maxBytes := s.cfg.MaxSnapshotBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxSnapshotBytes
 	}
 	var opts []dpgraph.UnsealOption
 	if s.cfg.VerifyKey != nil {
@@ -133,9 +129,9 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	// Unsealing is pure post-processing of an already-public artifact:
 	// no budget at stake, so decoding before reserving the name risks
 	// only wasted work on a conflict, never a double spend.
-	sealed, err := dpgraph.Unseal(http.MaxBytesReader(w, r.Body, maxBytes), opts...)
+	sealed, err := dpgraph.Unseal(http.MaxBytesReader(w, r.Body, DefaultMaxSnapshotBytes), opts...)
 	if err != nil {
-		writeBodyError(w, fmt.Errorf("unsealing snapshot for %q: %w", name, err))
+		WriteBodyError(w, fmt.Errorf("unsealing snapshot for %q: %w", name, err))
 		return
 	}
 	rel, err := s.publishSealed(name, sealed)
@@ -144,10 +140,10 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errTooManyReleases) {
 			status = http.StatusTooManyRequests
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.summarize(rel))
+	WriteJSON(w, http.StatusCreated, s.summarize(rel))
 }
 
 // publishSealed registers an unsealed release in the registry, ready
